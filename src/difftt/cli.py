@@ -31,6 +31,7 @@ ERROR_CATEGORIES = {
     FileExistsError: "output-exists",
     ValueError: "invalid-config-or-data",
     KeyError: "missing-component",
+    FloatingPointError: "training-diverged",
 }
 
 

@@ -389,6 +389,9 @@ def cmd_report(out_dir) -> RunReport:
     report = RunReport(**data)
     stored = report.averages
     report.compute_averages()
+    if len(stored) != len(report.averages):
+        raise ValueError(f"stored averages do not recompute: {len(stored)} stored rows "
+                         f"vs {len(report.averages)} recomputed")
     for a, b in zip(stored, report.averages):
         if a != b:
             raise ValueError(f"stored averages do not recompute: {a} vs {b}")

@@ -4,7 +4,8 @@ vocabulary distributions differentiable.
 
 The decoder always conditions on the hard argmax token of the previous step;
 only the emitted probability vectors carry gradient (the argmax feedback path
-does not).
+does not). Greedy decoding is incremental: each step feeds only the newest
+token column and reads earlier keys and values from a per-layer cache.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .checkpoint import save_checkpoint, load_checkpoint
-from .layers import DecoderLayer, EncoderLayer, causal_attention_mask, pad_attention_mask
+from .layers import (DecoderLayer, EncoderLayer, KVCache, append_along, causal_attention_mask,
+                     pad_attention_mask)
 from .params import ParamStore
 from .vocab import Vocabulary
 
@@ -46,6 +48,25 @@ class SoftTranslation:
 
     def __len__(self):
         return len(self.tokens)
+
+
+class GreedyDecode(list):
+    """The greedy tokens of a batch, one array per row up to and including
+    EOS (when reached within the budget), plus ``lengths`` (B,) and, when
+    kept, the step distributions ``probs`` (B, M, V) with PAD one-hot rows
+    past each row's length."""
+    lengths: np.ndarray
+    probs: np.ndarray | None = None
+
+
+class DecodeCache:
+    """State of one incremental decode of a batch: the token columns fed so
+    far and a (self-attention, cross-attention) cache pair per decoder layer."""
+
+    def __init__(self, n_layers: int):
+        self.layers = [(KVCache(), KVCache(static=True)) for _ in range(n_layers)]
+        self.ids: np.ndarray | None = None
+        self.length = 0
 
 
 class MtModel:
@@ -98,15 +119,34 @@ class MtModel:
         return memory, mask
 
     def decode_logits(self, memory: Tensor, cross_mask: np.ndarray,
-                      tgt_in: np.ndarray) -> Tensor:
-        """Teacher-forced decoder pass. tgt_in: (B, Tt) -> logits (B, Tt, V)."""
+                      tgt_in: np.ndarray, cache: DecodeCache | None = None) -> Tensor:
+        """Decoder pass. tgt_in: (B, Tt) -> logits (B, Tt, V).
+
+        Without a cache the pass is teacher-forced over the whole prefix. With
+        one, ``tgt_in`` is the (B, 1) column of the next step's inputs and the
+        earlier steps come from the cache, which the call extends; this mode
+        is gradient-free.
+        """
         tgt_in = np.asarray(tgt_in)
         t = tgt_in.shape[1]
+        pad = self.vocab.pad_id
+        if cache is None:
+            start, layer_caches = 0, [None] * len(self.dec_layers)
+            self_mask = causal_attention_mask(t) + pad_attention_mask(tgt_in, pad)
+        else:
+            if t != 1:
+                raise ValueError(f"a cached decode step takes one token column, got {t}")
+            if ad.grad_enabled():
+                raise RuntimeError("cached decoding is gradient-free; run it under no_grad()")
+            start, layer_caches = cache.length, cache.layers
+            cache.ids = append_along(cache.ids, start, tgt_in, axis=1)
+            cache.length += 1
+            # the newest query sees every earlier step, so only PAD keys are hidden
+            self_mask = pad_attention_mask(cache.ids[:, :cache.length], pad)
         x = ad.embedding(self.emb.tensor, tgt_in)
-        x = ad.add(x, ad.embedding(self.dec_pos.tensor, np.arange(t)))
-        self_mask = causal_attention_mask(t) + pad_attention_mask(tgt_in, self.vocab.pad_id)
-        for layer in self.dec_layers:
-            x = layer(x, memory, self_mask, cross_mask)
+        x = ad.add(x, ad.embedding(self.dec_pos.tensor, np.arange(start, start + t)))
+        for layer, layer_cache in zip(self.dec_layers, layer_caches):
+            x = layer(x, memory, self_mask, cross_mask, layer_cache)
         x = ad.layer_norm(x, self.dec_ln[0].tensor, self.dec_ln[1].tensor)
         return ad.affine(x, self.out_proj[0].tensor, self.out_proj[1].tensor)
 
@@ -128,36 +168,59 @@ class MtModel:
         """Greedy decoding of one source; returns tokens up to and including EOS."""
         return self.greedy_decode_batch(np.asarray([list(source_ids)]))[0]
 
-    def greedy_decode_batch(self, src_ids: np.ndarray) -> list[np.ndarray]:
-        """Batched greedy decoding; ties break to the lowest index (np.argmax)."""
-        src_ids = np.asarray(src_ids)
+    def greedy_decode_batch(self, src_ids: np.ndarray, keep_probs: bool = False) -> GreedyDecode:
+        """Batched incremental greedy decoding.
+
+        A step's token is the argmax of its distribution (ties break to the
+        lowest index, as np.argmax does), so argmax(probs) == tokens holds by
+        construction. Rows that emitted EOS stay in the batch and are fed PAD,
+        which stays masked as a key. ``keep_probs`` keeps the distributions.
+        """
+        steps, dists = self._greedy_steps(np.asarray(src_ids), keep_probs)
+        tokens = np.stack(steps, axis=1)
+        is_eos = tokens == self.vocab.eos_id
+        lengths = np.where(is_eos.any(axis=1), is_eos.argmax(axis=1) + 1, tokens.shape[1])
+        out = GreedyDecode(tokens[i, :n] for i, n in enumerate(lengths))
+        out.lengths = lengths
+        if keep_probs:
+            out.probs = np.stack(dists, axis=1)
+            past = np.arange(tokens.shape[1])[None, :] >= lengths[:, None]
+            out.probs[past] = np.eye(len(self.vocab))[self.vocab.pad_id]
+        return out
+
+    def _greedy_steps(self, src_ids: np.ndarray, keep_probs: bool):
+        """The decode loop: per-step token arrays (B,) and, when kept, the
+        step distributions (B, V). The cache dies with the call, before the
+        caller assembles the outputs."""
         b = src_ids.shape[0]
+        pad, eos = self.vocab.pad_id, self.vocab.eos_id
+        steps, dists = [], []
         with no_grad():
             memory, cross_mask = self.encode(src_ids)
-            prefix = np.full((b, 1), self.vocab.bos_id, dtype=np.int64)
+            cache = DecodeCache(len(self.dec_layers))
+            step_in = np.full((b, 1), self.vocab.bos_id, dtype=np.int64)
             finished = np.zeros(b, dtype=bool)
-            out: list[list[int]] = [[] for _ in range(b)]
             for _ in range(self.config.max_decode_len):
-                logits = self.decode_logits(memory, cross_mask, prefix)
-                step = np.argmax(logits.data[:, -1, :], axis=-1)
-                for i in range(b):
-                    if not finished[i]:
-                        out[i].append(int(step[i]))
-                        if step[i] == self.vocab.eos_id:
-                            finished[i] = True
+                logits = self.decode_logits(memory, cross_mask, step_in, cache)
+                p = ad.softmax(logits, temperature=self.config.temperature).data[:, 0]
+                step = np.argmax(p, axis=-1)
+                steps.append(step)
+                if keep_probs:
+                    dists.append(p)
+                finished |= step == eos
                 if finished.all():
                     break
-                step = np.where(finished, self.vocab.pad_id, step)
-                prefix = np.concatenate([prefix, step[:, None]], axis=1)
-        return [np.asarray(seq, dtype=np.int64) for seq in out]
+                step_in = np.where(finished, pad, step)[:, None]
+        return steps, dists
 
     def soft_decode(self, source_ids) -> SoftTranslation:
         """Greedy-decode, then recompute the per-step distributions on the tape.
 
         The recomputation teacher-forces the decoder with the already decoded
-        hard tokens, which reproduces exactly the distributions seen during
-        decoding (conditioning is on hard tokens either way) while giving them
-        gradient w.r.t. the translator parameters.
+        hard tokens, which reproduces the distributions seen during decoding
+        (conditioning is on hard tokens either way; values agree up to float
+        summation order) while giving them gradient w.r.t. the translator
+        parameters.
         """
         tokens = self.greedy_decode(source_ids)
         src = np.asarray([list(source_ids)])
@@ -169,28 +232,14 @@ class MtModel:
         return SoftTranslation(probs=probs, tokens=tokens)
 
     def soft_decode_values(self, src_ids: np.ndarray):
-        """Batched, gradient-free soft decode for evaluation.
+        """Batched, gradient-free soft decode for evaluation: the step
+        distributions of the greedy decode itself.
 
         Returns (probs (B, M, V) ndarray, tokens list of arrays, lengths (B,)).
         Positions past each sample's length are PAD one-hot rows.
         """
-        tokens = self.greedy_decode_batch(src_ids)
-        lengths = np.asarray([len(t) for t in tokens])
-        m = int(lengths.max())
-        b = src_ids.shape[0]
-        dec_in = np.full((b, m), self.vocab.pad_id, dtype=np.int64)
-        for i, t in enumerate(tokens):
-            dec_in[i, 0] = self.vocab.bos_id
-            dec_in[i, 1:len(t)] = t[:-1]
-        with no_grad():
-            memory, cross_mask = self.encode(np.asarray(src_ids))
-            logits = self.decode_logits(memory, cross_mask, dec_in)
-            probs = ad.softmax(logits, temperature=self.config.temperature).data.copy()
-        for i, t in enumerate(tokens):
-            probs[i, len(t):, :] = 0.0
-            probs[i, len(t):, self.vocab.pad_id] = 1.0
-            # keep the stored tokens consistent with the argmax contract
-        return probs, tokens, lengths
+        decoded = self.greedy_decode_batch(src_ids, keep_probs=True)
+        return decoded.probs, list(decoded), decoded.lengths
 
     # ------------------------------------------------------------------
     # persistence

@@ -46,11 +46,23 @@ class AdamW:
         return cfg.lr
 
     def clip_global_norm(self) -> float:
-        """Scale all gradients so the global L2 norm is at most max_grad_norm."""
+        """Scale all gradients so the global L2 norm is at most max_grad_norm.
+
+        A NaN or infinite norm raises FloatingPointError (naming the step and
+        the first parameter whose gradient is not finite) before anything is
+        updated: a comparison with NaN is False, so clipping alone would let
+        it through into the parameters.
+        """
         total = 0.0
         for p in self.params:
             total += float((p.grad ** 2).sum())
         norm = float(np.sqrt(total))
+        if not np.isfinite(norm):
+            culprit = next((p.name for p in self.params if not np.all(np.isfinite(p.grad))),
+                           "none (the squared norm overflows)")
+            raise FloatingPointError(
+                f"non-finite gradient norm {norm} at optimizer step {self.t + 1}; "
+                f"first non-finite gradient: {culprit}")
         limit = self.config.max_grad_norm
         if limit > 0 and norm > limit:
             factor = limit / norm

@@ -97,6 +97,9 @@ class ParamStore:
         return {name: p.data.copy() for name, p in self._params.items()}
 
     def load_state(self, state: dict[str, np.ndarray]):
+        unknown = sorted(set(state) - set(self._params))
+        if unknown:
+            raise KeyError(f"unknown parameters in state: {', '.join(unknown)}")
         for name, p in self._params.items():
             if name not in state:
                 raise KeyError(f"missing parameter in state: {name}")

@@ -111,17 +111,23 @@ class TranslateTestPipeline:
 
     def finetune_end_to_end(self, few_shot_data, selection_dev,
                             config: TrainConfig | None = None) -> "FinetuneResult":
-        """Joint fine-tuning on k target-language shots (batch size 1).
+        """Joint fine-tuning on k target-language shots, one shot per backward
+        pass; ``grad_accum`` sets how many shots one optimizer step sums.
 
         The task loss backpropagates through the classifier, the bridge and
         the soft decode into every non-frozen parameter of both models.
         Checkpoint selection uses the selection-dev split (accuracy or mRP).
+        ``config.batch_size`` must be 1: there is no batched task loss, and
+        a larger value is rejected rather than ignored.
         """
         from .optim import AdamW, AdamWConfig
 
         if not few_shot_data:
             raise ValueError("finetune_end_to_end needs k >= 1 samples; use predict for zero-shot")
         cfg = config or TrainConfig(lr=3e-6, batch_size=1, warmup_steps=0, grad_accum=1)
+        if cfg.batch_size != 1:
+            raise ValueError(f"finetune_end_to_end supports batch_size=1 only, got "
+                             f"batch_size={cfg.batch_size}; use grad_accum to sum shots")
         opt = AdamW(self.trainable_parameters(), AdamWConfig(
             lr=cfg.lr, weight_decay=cfg.weight_decay, warmup_steps=cfg.warmup_steps,
             max_grad_norm=cfg.max_grad_norm, grad_accum=cfg.grad_accum))

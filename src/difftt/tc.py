@@ -46,8 +46,9 @@ class Prediction:
 
 
 def rank_labels(scores: np.ndarray) -> np.ndarray:
-    """Descending-score label order with deterministic lowest-index tie-breaks."""
-    return np.argsort(-scores, kind="stable")
+    """Descending-score label order along the last axis, with deterministic
+    lowest-index tie-breaks."""
+    return np.argsort(-scores, axis=-1, kind="stable")
 
 
 class TcModel:
@@ -106,7 +107,7 @@ class TcModel:
         ids = ids[: self.config.max_len - 1]
         with no_grad():
             logits = self.logits_tokens(np.asarray([ids]), np.asarray([len(ids)]))
-        return self._prediction(logits.data[0])
+        return self._predictions(logits.data)[0]
 
     def logits_soft(self, seq: ExpectedEmbeddingSequence) -> Tensor:
         """Differentiable logits from one expected-embedding sequence."""
@@ -126,7 +127,7 @@ class TcModel:
 
     def classify_soft(self, seq: ExpectedEmbeddingSequence) -> Prediction:
         logits = self.logits_soft(seq)
-        return self._prediction(logits.data[0])
+        return self._predictions(logits.data)[0]
 
     def classify_soft_values(self, probs: np.ndarray, lengths: np.ndarray) -> list[Prediction]:
         """Batched gradient-free soft path: probs (B, M, V) padded with PAD one-hots."""
@@ -140,7 +141,7 @@ class TcModel:
             x = Tensor(np.concatenate([np.broadcast_to(cls, (b, 1, cls.shape[-1])), body], axis=1))
             valid = (np.arange(m + 1)[None, :] < (lengths + 1)[:, None]).astype(np.float64)
             logits = self._forward_embedded(x, valid)
-        return [self._prediction(row) for row in logits.data]
+        return self._predictions(logits.data)
 
     def classify_tokens_batch(self, seqs: list[list[int]]) -> list[Prediction]:
         lengths = np.asarray([min(len(s), self.config.max_len - 1) for s in seqs])
@@ -149,19 +150,21 @@ class TcModel:
             ids[i, :lengths[i]] = s[:lengths[i]]
         with no_grad():
             logits = self.logits_tokens(ids, lengths)
-        return [self._prediction(row) for row in logits.data]
+        return self._predictions(logits.data)
 
-    def _prediction(self, logits_row: np.ndarray) -> Prediction:
+    def _predictions(self, logits: np.ndarray) -> list[Prediction]:
+        """One Prediction per row of a (B, C) logits array; the rows share
+        the batch arrays."""
         if self.config.multi_label:
-            scores = ad.sigmoid_values(logits_row)
-            label = None
+            scores = ad.sigmoid_values(logits)
+            labels = [None] * len(logits)
         else:
-            z = logits_row - logits_row.max()
-            e = np.exp(z)
-            scores = e / e.sum()
-            label = int(np.argmax(logits_row))
-        return Prediction(logits=logits_row.copy(), label=label, scores=scores,
-                          ranked=rank_labels(scores))
+            e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+            scores = e / e.sum(axis=-1, keepdims=True)
+            labels = [int(i) for i in np.argmax(logits, axis=-1)]
+        ranked = rank_labels(scores)
+        return [Prediction(logits=z, label=label, scores=s, ranked=r)
+                for z, label, s, r in zip(logits, labels, scores, ranked)]
 
     # ------------------------------------------------------------------
     # persistence

@@ -5,7 +5,7 @@ import pytest
 
 from difftt.checkpoint import load_checkpoint, save_checkpoint
 from difftt.optim import AdamW, AdamWConfig
-from difftt.params import Parameter
+from difftt.params import Parameter, ParamStore
 
 
 def test_parameter_roundtrip(tmp_path, rng):
@@ -44,3 +44,17 @@ def test_version_mismatch_rejected(tmp_path, monkeypatch):
     monkeypatch.undo()
     with pytest.raises(ValueError, match="format version"):
         load_checkpoint(path)
+
+
+def test_param_store_load_state_rejects_bad_states(rng):
+    store = ParamStore(rng)
+    store.linear("lin", 2, 3, "g")
+    state = store.state()
+    with pytest.raises(KeyError, match="missing parameter in state: lin.b"):
+        store.load_state({"lin.w": state["lin.w"]})
+    with pytest.raises(ValueError, match="shape mismatch for lin.b"):
+        store.load_state({**state, "lin.b": np.zeros(4)})
+    with pytest.raises(KeyError, match="unknown parameters in state: extra, lin.x"):
+        store.load_state({**state, "lin.x": np.zeros(1), "extra": np.zeros(2)})
+    # a rejected state changes nothing
+    assert all(np.array_equal(store[n].data, v) for n, v in state.items())

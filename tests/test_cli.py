@@ -79,6 +79,20 @@ def test_invalid_config_fails_cleanly(tmp_path):
     assert err["error"]["category"] == "invalid-config-or-data"
 
 
+def test_diverged_training_fails_cleanly(tmp_path):
+    # a huge learning rate overflows the weights after one step, and the next
+    # gradient is NaN: training stops with its own category, not "internal"
+    cfg = write_config(tmp_path, tc_train={"epochs": 1, "batch_size": 8, "lr": 1e300,
+                                           "warmup_steps": 0, "grad_accum": 1})
+    runner = CliRunner()
+    assert runner.invoke(main, ["gen-data", str(cfg)]).exit_code == 0
+    result = runner.invoke(main, ["train-tc", str(cfg)])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"]["category"] == "training-diverged"
+    assert "non-finite gradient norm" in err["error"]["message"]
+
+
 def test_missing_config_path():
     result = CliRunner().invoke(main, ["evaluate", "/no/such/config.json"])
     assert result.exit_code != 0

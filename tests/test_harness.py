@@ -133,6 +133,18 @@ def test_report_detects_tampered_averages(tmp_path):
         cmd_report(cfg.out_dir)
 
 
+@pytest.mark.parametrize("table", ["averages", "rows"])
+def test_report_detects_dropped_row(tmp_path, table):
+    cfg = tiny_config(tmp_path)
+    cmd_evaluate(cfg)
+    path = tmp_path / "run" / "report" / "report.json"
+    data = json.loads(path.read_text())
+    data[table].pop()
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="recompute"):
+        cmd_report(cfg.out_dir)
+
+
 def test_run_report_averages():
     report = RunReport(name="x", metric_kind="accuracy", rows=[
         {"method": "pipeline_soft", "budget": 0, "seed": 1, "metric": 0.6, "ms_per_sample": 1.0},

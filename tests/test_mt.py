@@ -1,11 +1,14 @@
 """Translator behavior: decode contracts, soft/greedy agreement, causality,
-a learnable copy task, and checkpoint reload."""
+the cached decode against a full-prefix recompute, a learnable copy task, and
+checkpoint reload."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from difftt import autodiff as ad
-from difftt.autodiff import no_grad
+from difftt.autodiff import Tensor, no_grad
 from difftt.metrics import corpus_bleu
 from difftt.mt import MtConfig, MtModel, TrainConfig, evaluate_bleu, train_mt, _pad_batch
 from difftt.vocab import SPECIALS, Vocabulary
@@ -178,3 +181,109 @@ def test_save_load_roundtrip(model, vocab, tmp_path):
         assert np.array_equal(clone.store[name].data, model.store[name].data)
     src = vocab.encode(["t0", "t1"])
     assert np.array_equal(clone.greedy_decode(src), model.greedy_decode(src))
+
+
+# ---------------------------------------------------------------------------
+# cached incremental decoding against a full-prefix recompute
+# ---------------------------------------------------------------------------
+
+PROP_VOCAB = micro_vocab(30)
+PROP_CONFIG = MtConfig(d_model=16, n_layers=2, n_heads=2, d_ff=32,
+                       max_source_len=8, max_decode_len=8)
+# untrained models; seeds 1, 3 and 4 emit PAD mid-sequence on some random sources
+PROP_MODELS = {seed: MtModel(PROP_VOCAB, PROP_CONFIG, seed=seed) for seed in range(6)}
+
+sources = st.lists(st.lists(st.integers(5, len(PROP_VOCAB) - 1), min_size=1,
+                            max_size=PROP_CONFIG.max_source_len),
+                   min_size=1, max_size=6)
+
+
+def full_prefix_decode(model, src):
+    """Greedy decode without a cache: every step reruns the whole prefix."""
+    vocab = model.vocab
+    with no_grad():
+        memory, cross_mask = model.encode(src)
+        prefix = np.full((len(src), 1), vocab.bos_id, dtype=np.int64)
+        finished = np.zeros(len(src), dtype=bool)
+        steps = []
+        for _ in range(model.config.max_decode_len):
+            last = model.decode_logits(memory, cross_mask, prefix).data[:, -1]
+            step = ad.softmax(Tensor(last), temperature=model.config.temperature).data.argmax(-1)
+            steps.append(step)
+            finished |= step == vocab.eos_id
+            if finished.all():
+                break
+            prefix = np.concatenate([prefix, np.where(finished, vocab.pad_id, step)[:, None]],
+                                    axis=1)
+    out = []
+    for row in np.stack(steps, axis=1):
+        eos = np.flatnonzero(row == vocab.eos_id)
+        out.append(row[:eos[0] + 1] if eos.size else row)
+    return out
+
+
+def teacher_forced_probs(model, src, tokens):
+    """Step distributions recomputed in one teacher-forced pass, (B, M, V)."""
+    vocab = model.vocab
+    dec_in = _pad_batch([[vocab.bos_id] + list(t[:-1]) for t in tokens], vocab.pad_id)
+    with no_grad():
+        memory, cross_mask = model.encode(src)
+        logits = model.decode_logits(memory, cross_mask, dec_in)
+        return ad.softmax(logits, temperature=model.config.temperature).data
+
+
+@pytest.mark.parametrize("seed", sorted(PROP_MODELS))
+@settings(max_examples=15, deadline=None)
+@given(seqs=sources)
+def test_cached_decode_matches_full_prefix_recompute(seed, seqs):
+    model = PROP_MODELS[seed]
+    vocab = model.vocab
+    src = _pad_batch(seqs, vocab.pad_id)
+    probs, tokens, lengths = model.soft_decode_values(src)
+    want = full_prefix_decode(model, src)
+    assert [t.tolist() for t in tokens] == [t.tolist() for t in want]
+    assert lengths.tolist() == [len(t) for t in tokens]
+    assert np.array_equal(model.greedy_decode_batch(src)[0], tokens[0])
+    forced = teacher_forced_probs(model, src, tokens)
+    for i, n in enumerate(lengths):
+        rows = probs[i, :n]
+        assert np.allclose(rows, forced[i, :n], rtol=0.0, atol=1e-12)
+        assert np.all(rows >= 0.0) and np.allclose(rows.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
+        assert np.array_equal(rows.argmax(axis=-1), tokens[i])
+        assert np.all(probs[i, n:] == np.eye(len(vocab))[vocab.pad_id])
+
+
+@pytest.mark.parametrize("seed", sorted(PROP_MODELS))
+@settings(max_examples=10, deadline=None)
+@given(seqs=sources)
+def test_batched_decode_equals_per_sample_decode(seed, seqs):
+    model = PROP_MODELS[seed]
+    probs, tokens, lengths = model.soft_decode_values(_pad_batch(seqs, model.vocab.pad_id))
+    for i, s in enumerate(seqs):
+        p1, t1, n1 = model.soft_decode_values(np.asarray([s]))
+        assert np.array_equal(t1[0], tokens[i])
+        assert np.allclose(p1[0, :n1[0]], probs[i, :lengths[i]], rtol=0.0, atol=1e-12)
+
+
+def test_property_models_emit_pad_mid_sequence():
+    # the properties above cover rows that feed an emitted PAD back as a key
+    rng = np.random.default_rng(0)
+    src = rng.integers(5, len(PROP_VOCAB), size=(50, PROP_CONFIG.max_source_len))
+    emitted = [seed for seed, model in PROP_MODELS.items()
+               if any(PROP_VOCAB.pad_id in t[:-1] for t in model.greedy_decode_batch(src))]
+    assert emitted
+    decoded = PROP_MODELS[emitted[0]].greedy_decode_batch(src)
+    assert [t.tolist() for t in decoded] == \
+        [t.tolist() for t in full_prefix_decode(PROP_MODELS[emitted[0]], src)]
+
+
+def test_cached_step_rejects_misuse(model, vocab):
+    from difftt.mt import DecodeCache
+    with no_grad():
+        memory, cross_mask = model.encode(np.asarray([vocab.encode(["t0"])]))
+    cache = DecodeCache(model.config.n_layers)
+    with pytest.raises(ValueError, match="one token column"):
+        with no_grad():
+            model.decode_logits(memory, cross_mask, np.asarray([[vocab.bos_id, 5]]), cache)
+    with pytest.raises(RuntimeError, match="no_grad"):
+        model.decode_logits(memory, cross_mask, np.asarray([[vocab.bos_id]]), cache)

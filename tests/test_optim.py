@@ -140,3 +140,24 @@ def test_determinism_and_state_roundtrip():
         set_grad(p, rng.normal(size=5))
         opt.step()
     assert np.array_equal(p.data, a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gradient_raises_before_any_update(bad):
+    p = make_param([1.0, 2.0], name="w")
+    q = make_param([3.0], name="u")
+    opt = AdamW([p, q], AdamWConfig(lr=0.1, max_grad_norm=1.0))
+    set_grad(p, [0.5, -0.5])
+    set_grad(q, [0.1])
+    opt.step()
+    before = opt.state(), p.data.copy(), q.data.copy()
+    set_grad(p, [0.5, bad])
+    set_grad(q, [0.1])
+    with pytest.raises(FloatingPointError, match=r"step 2.*'?w'?"):
+        opt.step()
+    after = opt.state()
+    assert after["t"] == before[0]["t"] == 1
+    for k in ("m", "v"):
+        for name in after[k]:
+            assert np.array_equal(after[k][name], before[0][k][name])
+    assert np.array_equal(p.data, before[1]) and np.array_equal(q.data, before[2])

@@ -111,6 +111,14 @@ def test_finetune_rejects_empty(pipeline):
         pipeline.finetune_end_to_end([], [])
 
 
+def test_finetune_rejects_batch_size_above_one(pipeline):
+    data = [(["t0", "t1"], 0), (["t2"], 1)]
+    before = pipeline.mt.store.state()
+    with pytest.raises(ValueError, match="batch_size=8"):
+        pipeline.finetune_end_to_end(data, data, TrainConfig(epochs=1, batch_size=8))
+    assert all(np.array_equal(pipeline.mt.store[n].data, v) for n, v in before.items())
+
+
 def test_evaluate_metric_accuracy(pipeline):
     data = [(["t0", "t1"], 0), (["t2"], 1)]
     m = pipeline.evaluate_metric(data)

@@ -96,6 +96,24 @@ def test_classify_soft_values_matches_classify_soft(model, vocab, rng):
         assert np.allclose(got.logits, single.logits, atol=1e-12)
 
 
+@pytest.mark.parametrize("multi_label,n_classes", [(False, 3), (False, 17), (True, 5)])
+def test_batch_predictions_equal_per_row_reference(vocab, rng, multi_label, n_classes):
+    # the per-row computation the batch arrays replaced, as a bitwise reference
+    model = micro_tc(vocab, multi_label=multi_label, n_classes=n_classes)
+    logits = rng.normal(scale=3.0, size=(40, n_classes))
+    logits[0] = logits[0, 0]  # an all-tie row
+    for row, got in zip(logits, model._predictions(logits)):
+        if multi_label:
+            scores, label = ad.sigmoid_values(row), None
+        else:
+            e = np.exp(row - row.max())
+            scores, label = e / e.sum(), int(np.argmax(row))
+        assert got.label == label
+        assert np.array_equal(got.logits, row)
+        assert scores.tobytes() == got.scores.tobytes()
+        assert np.array_equal(got.ranked, np.argsort(-scores, kind="stable"))
+
+
 def test_rank_labels_ties_lowest_index():
     assert list(rank_labels(np.asarray([0.5, 0.5, 0.1]))) == [0, 1, 2]
     assert list(rank_labels(np.asarray([0.1, 0.9, 0.9]))) == [1, 2, 0]
