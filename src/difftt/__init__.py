@@ -15,8 +15,8 @@ from .metrics import accuracy, corpus_bleu, mean_r_precision, r_precision
 from .mt import MtConfig, MtModel, SoftTranslation, TrainConfig, train_mt
 from .optim import AdamW, AdamWConfig
 from .params import Parameter
-from .pipeline import (FewShotBudget, FreezingPolicy, TranslateTestPipeline,
-                       apply_freezing, lm_baseline, translate_and_train)
+from .pipeline import (FreezingPolicy, TranslateTestPipeline, apply_freezing, lm_baseline,
+                       translate_and_train)
 from .synthlang import (DatasetBundle, SyntheticLanguageSpec, TaskSpec,
                         degrade_language, gen_classification_dataset,
                         gen_language_pair, oracle_label)

@@ -85,29 +85,44 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        _accum(self, grad)
+        _accum(self, np.array(grad, dtype=np.float64))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    """Add ``g`` into ``t.grad``. A first gradient is stored as is, not
+    copied, so it may share memory with other gradients or be a view. That is
+    safe because no code writes into a ``.grad`` in place: every update
+    (accumulation, averaging, clipping) assigns a new array."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = g
     else:
         t.grad = t.grad + g
 
 
-def _make(data: np.ndarray, parents, backward) -> Tensor:
-    """Create an op output, recording on the tape only when useful."""
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        out = Tensor(data, requires_grad=True)
-        out._parents = tuple(parents)
-        out._backward = backward
-        return out
-    return Tensor(data)
+def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
+    """Create an op output, recording on the tape only when some parent
+    requires a gradient."""
+    if type(data) is not np.ndarray:  # a numpy scalar from 0-d operands
+        data = np.asarray(data, dtype=np.float64)
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.grad = None
+    out.requires_grad = False
+    out._parents = ()
+    out._backward = None
+    if _GRAD_ENABLED:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward
+                break
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -189,18 +204,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if b.data.ndim == 1:
-            _accum(a, _unbroadcast(np.expand_dims(g, -1) * b.data, a.data.shape))
-            ga = a.data.reshape(-1, a.data.shape[-1])
-            _accum(b, ga.T @ g.reshape(-1))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(np.expand_dims(g, -1) * b.data, a.data.shape))
+            if b.requires_grad:
+                ga = a.data.reshape(-1, a.data.shape[-1])
+                _accum(b, ga.T @ g.reshape(-1))
             return
         if a.data.ndim == 1:
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-            _accum(b, _unbroadcast(np.outer(a.data, g) if b.data.ndim == 2
-                                   else np.expand_dims(a.data, -1) * np.expand_dims(g, -2),
-                                   b.data.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(np.outer(a.data, g) if b.data.ndim == 2
+                                       else np.expand_dims(a.data, -1) * np.expand_dims(g, -2),
+                                       b.data.shape))
             return
-        _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _make(out, (a, b), backward)
 
@@ -214,9 +235,12 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = x.data @ w.data + b.data
 
     def backward(g):
-        _accum(x, _unbroadcast(g @ w.data.T, x.data.shape))
-        _accum(w, x.data.reshape(-1, x.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-        _accum(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
+        if x.requires_grad:
+            _accum(x, _unbroadcast(g @ w.data.T, x.data.shape))
+        if w.requires_grad:
+            _accum(w, x.data.reshape(-1, x.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        if b.requires_grad:
+            _accum(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
 
     return _make(out, (x, w, b), backward)
 
@@ -231,9 +255,10 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     out = table.data[ids]
 
     def backward(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.ravel(), g.reshape(-1, table.data.shape[1]))
-        _accum(table, gt)
+        if table.requires_grad:
+            gt = np.zeros_like(table.data)
+            np.add.at(gt, ids.ravel(), g.reshape(-1, table.data.shape[1]))
+            _accum(table, gt)
 
     return _make(out, (table,), backward)
 
@@ -260,25 +285,67 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ShapeError(
             f"layer_norm: gamma {gamma.data.shape} does not match input {x.data.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # the reductions of np.mean and np.var (a sum divided by n), centring once
+    n = x.data.shape[-1]
+    centred = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    var = (centred * centred).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = centred * inv
     out = xhat * gamma.data + beta.data
 
     def backward(g):
-        n = x.data.shape[-1]
-        dxhat = g * gamma.data
-        dx = (inv / n) * (
-            n * dxhat
-            - dxhat.sum(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
-        )
-        _accum(x, dx)
-        _accum(gamma, (g * xhat).reshape(-1, n).sum(axis=0))
-        _accum(beta, g.reshape(-1, n).sum(axis=0))
+        if x.requires_grad:
+            dxhat = g * gamma.data
+            dx = (inv / n) * (
+                n * dxhat
+                - dxhat.sum(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
+            )
+            _accum(x, dx)
+        if gamma.requires_grad:
+            _accum(gamma, (g * xhat).reshape(-1, n).sum(axis=0))
+        if beta.requires_grad:
+            _accum(beta, g.reshape(-1, n).sum(axis=0))
 
     return _make(out, (x, gamma, beta), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask=None) -> Tensor:
+    """Scaled dot-product attention softmax(q k^T * scale + mask) v as one op.
+
+    q: (..., Tq, d), k and v: (..., Tk, d); ``mask`` is an additive constant
+    broadcast against the (..., Tq, Tk) scores, or None. Forward and backward
+    run the numpy operations of the chain ``matmul(q, transpose(k))``,
+    ``scale``, ``shift``, ``softmax``, ``matmul(., v)`` in the same order, so
+    values and gradients are bitwise those of the chain.
+    """
+    kt = k.data.swapaxes(-1, -2)
+    if q.data.shape[-1] != kt.shape[-2] or kt.shape[-1] != v.data.shape[-2]:
+        raise ShapeError(
+            f"attention: q {q.data.shape}, k {k.data.shape} and v {v.data.shape} do not align"
+        )
+    scores = (q.data @ kt) * scale
+    if mask is not None:
+        scores = scores + np.asarray(mask, dtype=np.float64)
+    z = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    attn = e / e.sum(axis=-1, keepdims=True)
+    out = attn @ v.data
+
+    def backward(g):
+        if v.requires_grad:
+            _accum(v, _unbroadcast(attn.swapaxes(-1, -2) @ g, v.data.shape))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        g_attn = g @ v.data.swapaxes(-1, -2)
+        dot = (g_attn * attn).sum(axis=-1, keepdims=True)
+        g_scores = attn * (g_attn - dot) * scale
+        if q.requires_grad:
+            _accum(q, _unbroadcast(g_scores @ k.data, q.data.shape))
+        if k.requires_grad:
+            _accum(k, (q.data.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2))
+
+    return _make(out, (q, k, v), backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -354,11 +421,10 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def transpose(x: Tensor, axes) -> Tensor:
-    out = np.transpose(x.data, axes)
-    inverse = np.argsort(axes)
+    out = x.data.transpose(axes)
 
     def backward(g):
-        _accum(x, np.transpose(g, inverse))
+        _accum(x, g.transpose(np.argsort(axes)))
 
     return _make(out, (x,), backward)
 

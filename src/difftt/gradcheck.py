@@ -20,7 +20,9 @@ def finite_difference_check(
     ``loss_fn`` recomputes the scalar loss Tensor from the current parameter
     values; it must be deterministic. Returns the max relative error over the
     sampled coordinates: |a - n| / max(|a|, |n|, 1e-6). Frozen parameters are
-    excluded from sampling unless ``include_frozen``.
+    excluded from sampling unless ``include_frozen``. A frozen parameter has
+    no analytic gradient (its ``grad`` stays None) and is compared as zero,
+    so including one is only meaningful where the loss does not depend on it.
     """
     if rng is None:
         rng = np.random.default_rng(0)

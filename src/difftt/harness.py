@@ -386,6 +386,13 @@ def cmd_report(out_dir) -> RunReport:
     """Reload a written report and verify its averages recompute identically."""
     path = Path(out_dir) / "report" / "report.json"
     data = json.loads(path.read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    known = {f.name for f in dataclasses.fields(RunReport)}
+    unknown, missing = sorted(set(data) - known), sorted(known - set(data))
+    if unknown or missing:
+        raise ValueError(f"{path} does not match the report schema: "
+                         f"unknown keys {unknown}, missing keys {missing}")
     report = RunReport(**data)
     stored = report.averages
     report.compute_averages()

@@ -86,6 +86,7 @@ class MultiHeadAttention:
         self.d_model = d_model
         self.n_heads = n_heads
         self.d_head = d_model // n_heads
+        self.scale = 1.0 / np.sqrt(self.d_head)
         self.wq = store.linear(prefix + ".q", d_model, d_model, group)
         self.wk = store.linear(prefix + ".k", d_model, d_model, group)
         self.wv = store.linear(prefix + ".v", d_model, d_model, group)
@@ -110,12 +111,7 @@ class MultiHeadAttention:
             v = self._split(ad.affine(kv_in, self.wv[0].tensor, self.wv[1].tensor), b, tk)
             if cache is not None:
                 k, v = cache.append(k, v)
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
-                          1.0 / np.sqrt(self.d_head))
-        if mask is not None:
-            scores = ad.shift(scores, mask)
-        attn = ad.softmax(scores, axis=-1)
-        ctx = ad.matmul(attn, v)
+        ctx = ad.attention(q, k, v, self.scale, mask)
         ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, tq, self.d_model))
         return ad.affine(ctx, self.wo[0].tensor, self.wo[1].tensor)
 

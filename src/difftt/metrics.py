@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 
 
 class EmptyGoldSetError(ValueError):
@@ -83,53 +82,3 @@ def corpus_bleu(candidates, references, max_n: int = 4) -> float:
     geo = math.exp(log_sum / max_n)
     bp = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
     return bp * geo
-
-
-@dataclass
-class EvalReport:
-    """Per-sample records plus aggregates for one evaluation run."""
-    metric_kind: str                       # "accuracy" | "mrp" | "bleu"
-    records: list[dict] = field(default_factory=list)
-    aggregate: float = 0.0
-    sample_count: int = 0
-    excluded_empty_gold: int = 0
-    seed: int | None = None
-    ms_per_sample: float = 0.0
-
-    def recompute(self) -> float:
-        """Recompute the aggregate from the per-sample records."""
-        if self.metric_kind == "accuracy":
-            return accuracy([r["predicted"] for r in self.records],
-                            [r["gold"] for r in self.records])
-        if self.metric_kind == "mrp":
-            return mean_r_precision([r["r_precision"] for r in self.records])
-        raise ValueError(f"cannot recompute metric kind {self.metric_kind!r}")
-
-
-def classification_report(preds, golds, multi_label: bool, seed=None,
-                          ms_per_sample: float = 0.0) -> EvalReport:
-    """Build an EvalReport from Prediction objects and gold labels."""
-    if multi_label:
-        records = []
-        excluded = 0
-        for p, g in zip(preds, golds):
-            gold = set(int(x) for x in g)
-            if not gold:
-                excluded += 1
-                continue
-            records.append({
-                "gold": sorted(gold),
-                "predicted": [int(x) for x in p.ranked[:len(gold)]],
-                "r_precision": r_precision(p.ranked, gold),
-            })
-        report = EvalReport(metric_kind="mrp", records=records,
-                            sample_count=len(records), excluded_empty_gold=excluded,
-                            seed=seed, ms_per_sample=ms_per_sample)
-        report.aggregate = mean_r_precision([r["r_precision"] for r in records])
-        return report
-    records = [{"gold": int(g), "predicted": int(p.label)} for p, g in zip(preds, golds)]
-    report = EvalReport(metric_kind="accuracy", records=records,
-                        sample_count=len(records), seed=seed, ms_per_sample=ms_per_sample)
-    report.aggregate = accuracy([r["predicted"] for r in records],
-                                [r["gold"] for r in records])
-    return report

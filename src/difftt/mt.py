@@ -176,7 +176,9 @@ class MtModel:
         construction. Rows that emitted EOS stay in the batch and are fed PAD,
         which stays masked as a key. ``keep_probs`` keeps the distributions.
         """
-        steps, dists = self._greedy_steps(np.asarray(src_ids), keep_probs)
+        with no_grad():
+            memory, cross_mask = self.encode(src_ids)
+        steps, dists = self._greedy_steps(memory, cross_mask, keep_probs)
         tokens = np.stack(steps, axis=1)
         is_eos = tokens == self.vocab.eos_id
         lengths = np.where(is_eos.any(axis=1), is_eos.argmax(axis=1) + 1, tokens.shape[1])
@@ -188,15 +190,16 @@ class MtModel:
             out.probs[past] = np.eye(len(self.vocab))[self.vocab.pad_id]
         return out
 
-    def _greedy_steps(self, src_ids: np.ndarray, keep_probs: bool):
-        """The decode loop: per-step token arrays (B,) and, when kept, the
-        step distributions (B, V). The cache dies with the call, before the
-        caller assembles the outputs."""
-        b = src_ids.shape[0]
+    def _greedy_steps(self, memory: Tensor, cross_mask: np.ndarray, keep_probs: bool):
+        """The decode loop over encoder output ``memory`` (B, Ts, d): per-step
+        token arrays (B,) and, when kept, the step distributions (B, V). The
+        loop stops once every row has emitted EOS, or at the budget. It runs
+        gradient-free; the cache dies with the call, before the caller
+        assembles the outputs."""
+        b = memory.shape[0]
         pad, eos = self.vocab.pad_id, self.vocab.eos_id
         steps, dists = [], []
         with no_grad():
-            memory, cross_mask = self.encode(src_ids)
             cache = DecodeCache(len(self.dec_layers))
             step_in = np.full((b, 1), self.vocab.bos_id, dtype=np.int64)
             finished = np.zeros(b, dtype=bool)
@@ -216,16 +219,17 @@ class MtModel:
     def soft_decode(self, source_ids) -> SoftTranslation:
         """Greedy-decode, then recompute the per-step distributions on the tape.
 
-        The recomputation teacher-forces the decoder with the already decoded
-        hard tokens, which reproduces the distributions seen during decoding
-        (conditioning is on hard tokens either way; values agree up to float
-        summation order) while giving them gradient w.r.t. the translator
-        parameters.
+        The source is encoded once, on the tape, and the gradient-free greedy
+        decode reads that memory. The recomputation teacher-forces the decoder
+        with the decoded hard tokens, which reproduces the distributions seen
+        during decoding (conditioning is on hard tokens either way; values
+        agree up to float summation order) while giving them gradient w.r.t.
+        the translator parameters.
         """
-        tokens = self.greedy_decode(source_ids)
-        src = np.asarray([list(source_ids)])
+        memory, cross_mask = self.encode(np.asarray([list(source_ids)]))
+        # one row: the loop ends at its EOS (or the budget), so every step is kept
+        tokens = np.concatenate(self._greedy_steps(memory, cross_mask, False)[0])
         dec_in = np.asarray([[self.vocab.bos_id] + list(tokens[:-1])])
-        memory, cross_mask = self.encode(src)
         logits = self.decode_logits(memory, cross_mask, dec_in)
         probs = ad.softmax(logits, temperature=self.config.temperature)
         probs = ad.reshape(probs, (len(tokens), len(self.vocab)))

@@ -10,14 +10,24 @@ from .autodiff import Tensor
 class Parameter:
     """A named tensor with a frozen flag.
 
-    Frozen parameters keep requires_grad=True (gradients may still be
-    computed through them) but the optimizer never updates them.
+    ``frozen`` is the negation of ``tensor.requires_grad``: a frozen
+    parameter gets no gradient (its ``grad`` stays None) and the optimizer
+    never updates it. Gradients still flow through frozen layers into the
+    trainable parameters below them; ops whose inputs are all frozen or
+    constant are not recorded on the tape at all.
     """
 
     def __init__(self, name: str, values: np.ndarray, frozen: bool = False):
         self.name = name
-        self.tensor = Tensor(np.asarray(values, dtype=np.float64), requires_grad=True)
-        self.frozen = frozen
+        self.tensor = Tensor(values, requires_grad=not frozen)
+
+    @property
+    def frozen(self) -> bool:
+        return not self.tensor.requires_grad
+
+    @frozen.setter
+    def frozen(self, value: bool):
+        self.tensor.requires_grad = not value
 
     @property
     def data(self) -> np.ndarray:

@@ -31,11 +31,6 @@ class FreezingPolicy:
     freeze_tc_head: bool = False
 
 
-@dataclass
-class FewShotBudget:
-    k: int                       # 0 (zero-shot), 10 or 100
-
-
 class TranslateTestPipeline:
     def __init__(self, mt: MtModel, tc: TcModel,
                  freezing: FreezingPolicy | None = None):

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from difftt import autodiff as ad
 from difftt.autodiff import ShapeError, Tensor, no_grad
+from difftt.gradcheck import finite_difference_check
+from difftt.layers import causal_attention_mask, pad_attention_mask
+from difftt.params import Parameter
 
 
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -154,6 +157,87 @@ def test_layer_norm(rng):
                  tol=1e-5)
     with pytest.raises(ShapeError):
         ad.layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.zeros(4)), Tensor(np.zeros(4)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.floats(-1e4, 1e4))
+def test_layer_norm_bitwise_equals_np_var_reference(seed, width, offset):
+    # layer_norm centres once; np.var does the same reductions internally
+    rng = np.random.default_rng(seed)
+    x = offset + rng.normal(size=(3, 2, width)) * rng.uniform(1e-3, 1e3)
+    gamma, beta = rng.normal(size=width), rng.normal(size=width)
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    reference = (x - mu) * (1.0 / np.sqrt(var + 1e-5)) * gamma + beta
+    out = ad.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+    assert np.array_equal(out, reference)
+
+
+def unfused_attention(q, k, v, scale, mask):
+    """The op chain that ``ad.attention`` fuses."""
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scale)
+    if mask is not None:
+        scores = ad.shift(scores, mask)
+    return ad.matmul(ad.softmax(scores, axis=-1), v)
+
+
+def attention_case(seed, mask_kind):
+    """(q, k, v, mask) arrays in the layouts attention sees: heads split
+    from (B, T, H, d) by a transposed view, PAD-masked, causal or unmasked
+    keys, and the (B, H, 1, d) query of a cached decode step."""
+    rng = np.random.default_rng(seed)
+    b, h, d = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 5))
+    tk = int(rng.integers(1, 6))
+    tq = 1 if mask_kind == "cached" else tk
+    ids = rng.integers(0, 3, size=(b, tk))
+    ids[:, 0] = 1                        # every row keeps a visible key
+    mask = None if mask_kind == "none" else pad_attention_mask(ids, pad_id=0)
+    if mask_kind == "causal":
+        mask = causal_attention_mask(tk) + mask
+
+    def heads(t):
+        return np.transpose(rng.normal(size=(b, t, h, d)), (0, 2, 1, 3))
+
+    return heads(tq), heads(tk), heads(tk), mask
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["none", "pad", "causal", "cached"]),
+       st.lists(st.booleans(), min_size=3, max_size=3))
+def test_attention_bitwise_equals_unfused_chain(seed, mask_kind, needs_grad):
+    q, k, v, mask = attention_case(seed, mask_kind)
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    results = []
+    for op in (ad.attention, unfused_attention):
+        tensors = [Tensor(x, requires_grad=r) for x, r in zip((q, k, v), needs_grad)]
+        out = op(*tensors, scale, mask)
+        if out.requires_grad:
+            out.backward(np.random.default_rng(seed).normal(size=out.shape))
+        results.append([out.data] + [t.grad for t in tensors])
+    fused, chain = results
+    assert np.array_equal(fused[0], chain[0])
+    for r, gf, gc in zip(needs_grad, fused[1:], chain[1:]):
+        assert (gf is None) == (gc is None) == (not r)
+        assert gf is None or np.array_equal(gf, gc)
+
+
+@pytest.mark.parametrize("mask_kind", ["none", "pad", "causal", "cached"])
+def test_attention_gradcheck(mask_kind):
+    q, k, v, mask = attention_case(11, mask_kind)
+    params = [Parameter(name, np.ascontiguousarray(x)) for name, x in zip("qkv", (q, k, v))]
+    w = np.random.default_rng(3).normal(size=q.shape)
+
+    def loss():
+        out = ad.attention(*(p.tensor for p in params), 0.7, mask)
+        return ad.sum_all(ad.mul(out, Tensor(w)))
+
+    assert finite_difference_check(loss, params, n_coords=60) < 1e-6
+
+
+def test_attention_shape_error():
+    with pytest.raises(ShapeError):
+        ad.attention(Tensor(np.zeros((1, 1, 2, 3))), Tensor(np.zeros((1, 1, 2, 4))),
+                     Tensor(np.zeros((1, 1, 2, 3))), 1.0)
 
 
 def test_relu_gelu(rng):

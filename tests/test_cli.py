@@ -123,3 +123,21 @@ def test_train_and_report_flow(tmp_path):
     result = runner.invoke(main, ["report", str(cfg)])
     assert result.exit_code == 0, result.output
     assert "pipeline_soft" in result.output
+
+
+@pytest.mark.parametrize("change", [{"extra_key": 1}, {"rows": None}],
+                         ids=["unknown-key", "missing-key"])
+def test_report_with_bad_keys_fails_cleanly(tmp_path, change):
+    cfg = write_config(tmp_path)
+    report = {"name": "cli-test", "metric_kind": "accuracy", "rows": [], "averages": [],
+              "soft_hard_delta": {}}
+    report.update(change)
+    report = {k: v for k, v in report.items() if v is not None}
+    path = tmp_path / "run" / "report" / "report.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(report))
+    result = CliRunner().invoke(main, ["report", str(cfg)])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"]["category"] == "invalid-config-or-data"
+    assert next(iter(change)) in err["error"]["message"]

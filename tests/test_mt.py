@@ -93,6 +93,15 @@ def test_soft_decode_carries_gradient(model, vocab):
     assert model.out_proj[0].grad is not None
 
 
+def test_soft_decode_encodes_once(model, vocab, monkeypatch):
+    # the greedy decode reads the memory encoded on the tape
+    calls = []
+    encode = model.encode
+    monkeypatch.setattr(model, "encode", lambda src: calls.append(src) or encode(src))
+    model.soft_decode(vocab.encode(["t0", "t3", "t5"]))
+    assert len(calls) == 1
+
+
 def test_decoder_causality_exact(model, vocab):
     # changing a later decoder input must not change earlier step logits at all
     src = np.asarray([vocab.encode(["t1", "t2"])])

@@ -4,7 +4,7 @@ one-hots, fine-tuning behavior, persistence."""
 import numpy as np
 import pytest
 
-from difftt.mt import TrainConfig
+from difftt.mt import MtModel, TrainConfig
 from difftt.pipeline import (FreezingPolicy, TranslateTestPipeline,
                              apply_freezing, translate_corpus)
 from difftt.vocab import SPECIALS, Vocabulary, VocabularyMismatch
@@ -87,6 +87,66 @@ def test_task_loss_backprops_into_both_models(pipeline, vocab):
     loss.backward()
     assert pipeline.mt.store["out.w"].grad is not None
     assert pipeline.tc.store["head.w"].grad is not None
+
+
+def task_loss_grads(pipe, ids, label):
+    """Every parameter's gradient after one task-loss backward pass."""
+    stores = (("mt", pipe.mt.store), ("tc", pipe.tc.store))
+    for _, store in stores:
+        store.zero_grad()
+    pipe.task_loss(ids, label).backward()
+    return {(tag, name): store[name].grad for tag, store in stores for name in store.names()}
+
+
+def frozen_flags(pipe):
+    flags = {}
+    for tag, store in (("mt", pipe.mt.store), ("tc", pipe.tc.store)):
+        for name in store.names():
+            p = store[name]
+            assert p.tensor.requires_grad is not p.frozen
+            flags[(tag, name)] = p.frozen
+    return flags
+
+
+def test_frozen_parameters_get_no_gradient(vocab, rng):
+    pipe = TranslateTestPipeline(micro_mt(vocab), micro_tc(vocab))  # default policy
+    frozen = {k for k, f in frozen_flags(pipe).items() if f}
+    assert ("mt", "emb") in frozen and ("mt", "enc1.ff1.w") in frozen
+    assert ("tc", "enc1.ff1.w") in frozen
+    for ids in random_inputs(vocab, rng, 4):
+        label = int(rng.integers(3))
+        partial = task_loss_grads(pipe, ids, label)
+        apply_freezing(pipe, FreezingPolicy(0.0, 0.0))
+        assert not any(frozen_flags(pipe).values())
+        full = task_loss_grads(pipe, ids, label)
+        apply_freezing(pipe, FreezingPolicy())
+        assert {k for k, f in frozen_flags(pipe).items() if f} == frozen
+        for key, grad in partial.items():
+            assert full[key] is not None, key
+            if key in frozen:
+                assert grad is None, key
+            else:
+                assert np.array_equal(grad, full[key]), key
+
+
+def test_frozen_encoder_is_off_the_tape(pipeline, vocab):
+    memory, _ = pipeline.mt.encode(np.asarray([vocab.encode(["t0", "t1"])]))
+    # only the trainable final layer norm records; its input is a constant
+    assert memory.requires_grad
+    encoded = memory._parents[0]
+    assert not encoded.requires_grad and encoded._backward is None
+
+
+def test_frozen_flags_survive_save_load(pipeline, vocab, tmp_path):
+    flags = frozen_flags(pipeline)
+    pipeline.save(tmp_path / "pipe")
+    clone = TranslateTestPipeline.load(tmp_path / "pipe")
+    assert frozen_flags(clone) == flags
+    mt = MtModel.load(tmp_path / "pipe" / "mt.npz", vocab)
+    assert {n: mt.store[n].frozen for n in mt.store.names()} == \
+        {n: f for (tag, n), f in flags.items() if tag == "mt"}
+    grads = task_loss_grads(clone, vocab.encode(["t2", "t4"]), 0)
+    assert all((grads[k] is None) == f for k, f in flags.items())
 
 
 def test_finetune_updates_trainable_preserves_frozen(pipeline, vocab, rng):
