@@ -46,7 +46,7 @@ def main():
 
     # one-hot forcing reproduces the hard path bitwise
     pipe = TranslateTestPipeline(mt, tc, FreezingPolicy(0.0, 0.0))
-    forced = pipe.predict_forced_onehot(src)
+    forced = pipe.predict_forced_onehot_batch([src])[0]
     hard = pipe.predict_hard(src)
     print(f"forced one-hot == hard path bitwise: "
           f"{np.array_equal(forced.logits, hard.logits)}")

@@ -4,8 +4,6 @@ Layout of the archive:
   __meta__      JSON string: format version, parameter names/frozen flags,
                 arbitrary extra metadata (model config etc.)
   p:<name>      row-major float64 values of each parameter
-  om:<name>     AdamW first moments (only when optimizer state is saved)
-  ov:<name>     AdamW second moments
 """
 
 from __future__ import annotations
@@ -18,25 +16,16 @@ import numpy as np
 FORMAT_VERSION = 1
 
 
-def save_checkpoint(path, params, extra_meta: dict | None = None, opt_state: dict | None = None):
-    """Write parameters (list of Parameter) plus optional optimizer state."""
+def save_checkpoint(path, params, extra_meta: dict | None = None):
+    """Write parameters (list of Parameter) and their metadata."""
     path = Path(path)
-    arrays = {}
     meta = {
         "format_version": FORMAT_VERSION,
         "params": [{"name": p.name, "shape": list(p.data.shape), "frozen": bool(p.frozen)}
                    for p in params],
         "extra": extra_meta or {},
-        "has_optimizer_state": opt_state is not None,
     }
-    for p in params:
-        arrays["p:" + p.name] = p.data
-    if opt_state is not None:
-        meta["optimizer_t"] = int(opt_state["t"])
-        for name, m in opt_state["m"].items():
-            arrays["om:" + name] = m
-        for name, v in opt_state["v"].items():
-            arrays["ov:" + name] = v
+    arrays = {"p:" + p.name: p.data for p in params}
     arrays["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
@@ -44,7 +33,7 @@ def save_checkpoint(path, params, extra_meta: dict | None = None, opt_state: dic
 
 
 def load_checkpoint(path):
-    """Return (values: name -> ndarray, frozen: name -> bool, meta, opt_state|None)."""
+    """Return (values: name -> ndarray, frozen: name -> bool, meta)."""
     with np.load(Path(path)) as z:
         meta = json.loads(bytes(z["__meta__"]).decode())
         if meta.get("format_version") != FORMAT_VERSION:
@@ -57,13 +46,4 @@ def load_checkpoint(path):
             if list(values[name].shape) != rec["shape"]:
                 raise ValueError(f"corrupt checkpoint: shape mismatch for {name}")
             frozen[name] = bool(rec["frozen"])
-        opt_state = None
-        if meta.get("has_optimizer_state"):
-            opt_state = {
-                "t": meta["optimizer_t"],
-                "m": {rec["name"]: np.asarray(z["om:" + rec["name"]])
-                      for rec in meta["params"] if "om:" + rec["name"] in z},
-                "v": {rec["name"]: np.asarray(z["ov:" + rec["name"]])
-                      for rec in meta["params"] if "ov:" + rec["name"] in z},
-            }
-    return values, frozen, meta["extra"], opt_state
+    return values, frozen, meta["extra"]

@@ -1,11 +1,11 @@
 """Command-line experiment runner.
 
-Subcommands: gen-data, train-mt, train-tc, train-baseline, finetune,
-evaluate, sweep-bleu, report. Every subcommand takes a JSON experiment
-config (see ExperimentConfig for the schema). Environment overrides:
-DIFFTT_OUTPUT_DIR replaces the config's out_dir, DIFFTT_THREADS caps the
-BLAS thread count. Exit code 0 on success; on failure a machine-readable
-error record is printed to stderr and the exit code is nonzero.
+Subcommands: gen-data, train-mt, train-tc, finetune, evaluate, sweep-bleu,
+report. Every subcommand takes a JSON experiment config (see ExperimentConfig
+for the schema). Environment overrides: DIFFTT_OUTPUT_DIR replaces the
+config's out_dir, DIFFTT_THREADS caps the BLAS thread count. Exit code 0 on
+success; on failure a machine-readable error record is printed to stderr and
+the exit code is nonzero.
 """
 
 from __future__ import annotations
@@ -100,14 +100,6 @@ def train_mt_cmd(config_path, seed, reverse):
 @click.option("--seed", type=int, default=None)
 def train_tc_cmd(config_path, seed):
     """Train the high-resource classifier."""
-    _train("tc", config_path, seed)
-
-
-@main.command("train-baseline")
-@click.argument("config_path", type=click.Path(exists=True))
-@click.option("--seed", type=int, default=None)
-def train_baseline_cmd(config_path, seed):
-    """Train the direct-classifier baseline (same protocol as train-tc)."""
     _train("tc", config_path, seed)
 
 

@@ -18,18 +18,17 @@ import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-import numpy as np
 from scipy import stats
 
 from .data_io import read_bundle, write_bundle
-from .metrics import accuracy, corpus_bleu, mean_r_precision, r_precision
+from .metrics import score
 from .mt import MtConfig, MtModel, TrainConfig, evaluate_bleu, train_mt
 from .pipeline import (FreezingPolicy, TranslateTestPipeline, lm_baseline,
                        translate_and_train)
 from .synthlang import (DatasetBundle, SyntheticLanguageSpec, TaskSpec,
                         degrade_language, gen_classification_dataset)
 from .tc import TcConfig, TcModel, train_tc
-from .vocab import SPECIALS, Vocabulary, build_shared_vocab
+from .vocab import Vocabulary, build_shared_vocab
 
 
 @dataclass
@@ -91,6 +90,12 @@ class ExperimentConfig:
         defaults["seed"] = seed
         return TrainConfig(**defaults)
 
+    def tc_config(self, task: TaskSpec) -> TcConfig:
+        """The classifier shape for ``task`` with the ``tc_model`` overrides; every
+        classifier of a run, the translate-and-train one included, has it."""
+        return TcConfig(**{"n_classes": task.n_classes,
+                           "multi_label": task.kind == "multi_label", **self.tc_model})
+
 
 def shared_vocabulary(lang: SyntheticLanguageSpec) -> Vocabulary:
     """One vocabulary covering both languages' full token inventories."""
@@ -138,10 +143,7 @@ def train_mt_component(config: ExperimentConfig, bundle: DatasetBundle, vocab: V
 
 def train_tc_component(config: ExperimentConfig, bundle: DatasetBundle, vocab: Vocabulary,
                        seed: int, checkpoint_dir=None) -> tuple[TcModel, object]:
-    task = bundle.task
-    cfg = dict(n_classes=task.n_classes, multi_label=task.kind == "multi_label")
-    cfg.update(config.tc_model)
-    model = TcModel(vocab, TcConfig(**cfg), seed=seed)
+    model = TcModel(vocab, config.tc_config(bundle.task), seed=seed)
     result = train_tc(model, bundle.hr_train, bundle.hr_dev,
                       config.train_config("tc", seed), checkpoint_dir=checkpoint_dir)
     return model, result
@@ -162,17 +164,13 @@ def cmd_train(which: str, config: ExperimentConfig, seed: int | None = None) -> 
         model, result = train_mt_component(config, bundle, vocab, seed,
                                            checkpoint_dir=ckpt_dir,
                                            reverse=which == "reverse-mt")
-        curve = result.val_bleu
-        best_path = ckpt_dir / "best.npz"
-        model.save(best_path, extra={"best_epoch": result.best_epoch})
     else:
         model, result = train_tc_component(config, bundle, vocab, seed,
                                            checkpoint_dir=ckpt_dir)
-        curve = result.val_metric
-        best_path = ckpt_dir / "best.npz"
-        model.save(best_path, extra={"best_epoch": result.best_epoch})
+    best_path = ckpt_dir / "best.npz"
+    model.save(best_path, extra={"best_epoch": result.best_epoch})
     summary = {"component": which, "seed": seed, "best_epoch": result.best_epoch,
-               "validation_curve": curve, "train_loss": result.train_loss,
+               "validation_curve": result.val_metric, "train_loss": result.train_loss,
                "best_checkpoint": str(best_path),
                "epoch_checkpoints": result.checkpoint_paths}
     (ckpt_dir / "training.json").write_text(json.dumps(summary, indent=2))
@@ -239,12 +237,16 @@ def _timed_metric(eval_fn, n_samples: int) -> tuple[float, float]:
 
 def _eval_tokens(model: TcModel, samples) -> float:
     ids = [model.vocab.encode(t)[: model.config.max_len - 1] for t, _ in samples]
-    preds = model.classify_tokens_batch(ids)
-    if model.config.multi_label:
-        vals = [r_precision(p.ranked, set(g)) for p, (_, g) in zip(preds, samples)
-                if len(set(g)) > 0]
-        return mean_r_precision(vals)
-    return accuracy([p.label for p in preds], [int(g) for _, g in samples])
+    return score(model.classify_tokens_batch(ids), [g for _, g in samples],
+                 model.config.multi_label)
+
+
+def _check_budgets(budgets, bundle: DatasetBundle):
+    """A budget is 0 (zero-shot) or the size of one of the bundle's few-shot pools."""
+    for budget in budgets:
+        if budget != 0 and budget not in bundle.few_shot:
+            raise ValueError(f"budget {budget!r} has no few-shot pool; valid budgets are 0 "
+                             f"and the pool sizes {sorted(bundle.few_shot)}")
 
 
 def cmd_evaluate(config: ExperimentConfig, bundle: DatasetBundle | None = None) -> RunReport:
@@ -258,12 +260,12 @@ def cmd_evaluate(config: ExperimentConfig, bundle: DatasetBundle | None = None) 
     metric_kind = "mrp" if task.kind == "multi_label" else "accuracy"
     report = RunReport(name=config.name, metric_kind=metric_kind)
     test = bundle.tg_test
+    unknown = set(config.methods) - {"lm", "pipeline", "translate_train"}
+    if unknown:
+        raise ValueError(f"unknown methods requested: {sorted(unknown)}")
+    _check_budgets(config.budgets, bundle)
 
     for seed in config.seeds:
-        known = {"lm", "pipeline", "translate_train"}
-        unknown = set(config.methods) - known
-        if unknown:
-            raise ValueError(f"unknown methods requested: {sorted(unknown)}")
         needs_pipeline = "pipeline" in config.methods
         mt = tc = None
         if needs_pipeline or "lm" in config.methods:
@@ -302,7 +304,7 @@ def cmd_evaluate(config: ExperimentConfig, bundle: DatasetBundle | None = None) 
                                     "seed": seed, "metric": metric, "ms_per_sample": ms})
             if reverse_mt is not None:
                 model = translate_and_train(
-                    reverse_mt, bundle, tc_seed=seed,
+                    reverse_mt, bundle, tc_seed=seed, tc_config=config.tc_config(task),
                     train_config=config.train_config("tc", seed),
                     few_shot_k=budget,
                     finetune_config=config.train_config("finetune", seed))
@@ -328,6 +330,7 @@ def cmd_sweep_bleu(config: ExperimentConfig, bundle: DatasetBundle | None = None
     lang = degrade_language(config.lang_spec(), severity)
     if bundle is None:
         bundle = generate_bundle(config, lang=lang)
+    _check_budgets(budgets, bundle)
     vocab = shared_vocabulary(lang)
     seed = config.seeds[0]
 

@@ -1,4 +1,5 @@
-"""Evaluation metrics: accuracy, R-Precision / mean R-Precision, corpus BLEU.
+"""Evaluation metrics: accuracy, R-Precision / mean R-Precision, the task
+score built from them, and corpus BLEU.
 
 BLEU variant (pinned so numbers are comparable across runs): BLEU-4,
 case-sensitive, whitespace tokens, uniform n-gram weights, clipped counts,
@@ -42,6 +43,16 @@ def mean_r_precision(values) -> float:
     if not values:
         raise ValueError("empty sample set")
     return sum(values) / len(values)
+
+
+def score(predictions, golds, multi_label: bool) -> float:
+    """The task metric of classifier predictions: accuracy of ``label`` for a
+    multi-class head, mean R-Precision of ``ranked`` for a multi-label head
+    (samples without a gold label have no R-Precision and are skipped)."""
+    if multi_label:
+        return mean_r_precision(r_precision(p.ranked, set(g))
+                                for p, g in zip(predictions, golds) if set(g))
+    return accuracy([p.label for p in predictions], [int(g) for g in golds])
 
 
 def _ngram_counts(tokens, n: int) -> Counter:

@@ -10,7 +10,7 @@ token column and reads earlier keys and values from a per-layer cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .autodiff import Tensor, no_grad
 from .checkpoint import save_checkpoint, load_checkpoint
 from .layers import (DecoderLayer, EncoderLayer, KVCache, append_along, causal_attention_mask,
                      pad_attention_mask)
+from .optim import FitResult, fit
 from .params import ParamStore
 from .vocab import Vocabulary
 
@@ -32,7 +33,11 @@ class MtConfig:
     max_source_len: int = 32
     max_decode_len: int = 32
     temperature: float = 1.0
-    dropout: float = 0.0       # off by default at this scale
+    dropout: float = 0.0       # not implemented: kept so stored configs load; must be 0
+
+    def __post_init__(self):
+        if self.dropout != 0.0:
+            raise ValueError(f"MtConfig.dropout={self.dropout}: the translator has no dropout")
 
 
 @dataclass
@@ -150,20 +155,6 @@ class MtModel:
         x = ad.layer_norm(x, self.dec_ln[0].tensor, self.dec_ln[1].tensor)
         return ad.affine(x, self.out_proj[0].tensor, self.out_proj[1].tensor)
 
-    def decode_step(self, source_ids, previous_target_ids) -> Tensor:
-        """One decode step: the next-token distribution p_j over V (a simplex vector)."""
-        source_ids = list(source_ids)
-        prev = list(previous_target_ids)
-        if not source_ids:
-            raise ValueError("empty source sequence")
-        if not prev or prev[0] != self.vocab.bos_id:
-            raise ValueError("previous target ids must begin with BOS")
-        memory, cross_mask = self.encode(np.asarray([source_ids]))
-        logits = self.decode_logits(memory, cross_mask, np.asarray([prev]))
-        rows = ad.reshape(logits, (len(prev), len(self.vocab)))
-        p = ad.softmax(rows, temperature=self.config.temperature)
-        return _last_row(p)
-
     def greedy_decode(self, source_ids) -> np.ndarray:
         """Greedy decoding of one source; returns tokens up to and including EOS."""
         return self.greedy_decode_batch(np.asarray([list(source_ids)]))[0]
@@ -249,32 +240,20 @@ class MtModel:
     # persistence
     # ------------------------------------------------------------------
 
-    def save(self, path, opt_state=None, extra: dict | None = None):
+    def save(self, path, extra: dict | None = None):
         meta = {"kind": "mt", "config": asdict(self.config)}
         if extra:
             meta.update(extra)
-        save_checkpoint(path, self.store.parameters(), extra_meta=meta, opt_state=opt_state)
+        save_checkpoint(path, self.store.parameters(), extra_meta=meta)
 
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "MtModel":
-        values, frozen, meta, _ = load_checkpoint(path)
+        values, frozen, meta = load_checkpoint(path)
         model = cls(vocab, MtConfig(**meta["config"]))
         model.store.load_state(values)
         for name, fz in frozen.items():
             model.store[name].frozen = fz
         return model
-
-
-def _last_row(p: Tensor) -> Tensor:
-    """Slice the last row of a (T, V) tensor, keeping the tape intact."""
-    t, v = p.shape
-
-    def backward(g):
-        full = np.zeros((t, v))
-        full[-1] = g
-        ad._accum(p, full)
-
-    return ad._make(p.data[-1], (p,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +275,12 @@ class TrainConfig:
     seed: int = 0
 
 
-@dataclass
-class MtTrainResult:
-    val_bleu: list[float] = field(default_factory=list)
-    train_loss: list[float] = field(default_factory=list)
-    best_epoch: int = -1
-    checkpoint_paths: list[str] = field(default_factory=list)
+class MtTrainResult(FitResult):
+    """``fit``'s result; the validation metric is corpus BLEU."""
+
+    @property
+    def val_bleu(self) -> list[float]:
+        return self.val_metric
 
 
 def _pad_batch(seqs: list[list[int]], pad_id: int) -> np.ndarray:
@@ -321,10 +300,6 @@ def train_mt(model: MtModel, train_pairs, dev_pairs, config: TrainConfig | None 
     the translation-quality sensitivity sweep); the model is left at the best
     validation BLEU epoch either way.
     """
-    from .optim import AdamW, AdamWConfig
-
-    if not train_pairs:
-        raise ValueError("empty parallel corpus")
     cfg = config or TrainConfig()
     vocab = model.vocab
     enc_src = [vocab.encode(s)[: model.config.max_source_len] for s, _ in train_pairs]
@@ -332,51 +307,23 @@ def train_mt(model: MtModel, train_pairs, dev_pairs, config: TrainConfig | None 
     dev_src = [vocab.encode(s)[: model.config.max_source_len] for s, _ in dev_pairs]
     dev_refs = [list(t) for _, t in dev_pairs]
 
-    opt = AdamW(model.store.trainable(), AdamWConfig(
-        lr=cfg.lr, weight_decay=cfg.weight_decay, warmup_steps=cfg.warmup_steps,
-        max_grad_norm=cfg.max_grad_norm, grad_accum=cfg.grad_accum))
-    rng = np.random.default_rng(cfg.seed)
-    result = MtTrainResult()
-    best_bleu, best_state = -1.0, None
+    def batch_loss(idx):
+        src = _pad_batch([enc_src[i] for i in idx], vocab.pad_id)
+        tgt = _pad_batch([enc_tgt[i] for i in idx], vocab.pad_id)
+        memory, cross_mask = model.encode(src)
+        logits = model.decode_logits(memory, cross_mask, tgt[:, :-1])
+        mask = (tgt[:, 1:] != vocab.pad_id).astype(np.float64)
+        return ad.cross_entropy(logits, tgt[:, 1:], mask=mask)
 
-    n = len(enc_src)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        losses = []
-        micro = 0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            src = _pad_batch([enc_src[i] for i in idx], vocab.pad_id)
-            tgt = _pad_batch([enc_tgt[i] for i in idx], vocab.pad_id)
-            memory, cross_mask = model.encode(src)
-            logits = model.decode_logits(memory, cross_mask, tgt[:, :-1])
-            mask = (tgt[:, 1:] != vocab.pad_id).astype(np.float64)
-            loss = ad.cross_entropy(logits, tgt[:, 1:], mask=mask)
-            loss.backward()
-            losses.append(loss.item())
-            micro += 1
-            if micro % cfg.grad_accum == 0:
-                opt.step()
-                opt.zero_grad()
-        if micro % cfg.grad_accum != 0:
-            opt.step()
-            opt.zero_grad()
-        result.train_loss.append(float(np.mean(losses)))
+    def checkpoint(epoch, bleu):
+        path = str(checkpoint_dir) + f"/mt_epoch{epoch:03d}.npz"
+        model.save(path, extra={"epoch": epoch, "val_bleu": bleu})
+        return path
 
-        bleu = evaluate_bleu(model, dev_src, dev_refs)
-        result.val_bleu.append(bleu)
-        if checkpoint_dir is not None:
-            path = str(checkpoint_dir) + f"/mt_epoch{epoch:03d}.npz"
-            model.save(path, extra={"epoch": epoch, "val_bleu": bleu})
-            result.checkpoint_paths.append(path)
-        if bleu > best_bleu:
-            best_bleu = bleu
-            best_state = model.store.state()
-            result.best_epoch = epoch
-
-    if best_state is not None:
-        model.store.load_state(best_state)
-    return result
+    result = fit([model.store], len(enc_src), batch_loss,
+                 lambda: evaluate_bleu(model, dev_src, dev_refs), cfg,
+                 checkpoint if checkpoint_dir is not None else None)
+    return MtTrainResult(**vars(result))
 
 
 def evaluate_bleu(model: MtModel, sources_ids: list[list[int]], references: list[list[str]]) -> float:

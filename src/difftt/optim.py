@@ -1,4 +1,5 @@
-"""AdamW with linear warmup, global-norm clipping and gradient accumulation."""
+"""AdamW with linear warmup, global-norm clipping and gradient accumulation,
+and ``fit``, the one training loop every trainer runs."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import Parameter
+from .params import Parameter, ParamStore
 
 
 @dataclass
@@ -107,3 +108,58 @@ class AdamW:
         for k in self.m:
             self.m[k] = np.asarray(state["m"][k], dtype=np.float64).copy()
             self.v[k] = np.asarray(state["v"][k], dtype=np.float64).copy()
+
+
+@dataclass
+class FitResult:
+    train_loss: list[float] = field(default_factory=list)   # mean micro-batch loss per epoch
+    val_metric: list[float] = field(default_factory=list)   # validation score per epoch
+    best_epoch: int = -1
+    checkpoint_paths: list[str] = field(default_factory=list)
+
+
+def fit(stores: list[ParamStore], n: int, batch_loss, evaluate, cfg,
+        checkpoint=None) -> FitResult:
+    """Train the non-frozen parameters of ``stores`` on ``n`` samples.
+
+    Each of ``cfg.epochs`` epochs permutes the samples, runs micro-batches of
+    ``cfg.batch_size`` through ``batch_loss(indices) -> scalar loss Tensor``
+    and sums their gradients, steps AdamW every ``cfg.grad_accum``
+    micro-batches (plus once on a remainder), scores the epoch with
+    ``evaluate() -> float`` and, when given, calls ``checkpoint(epoch,
+    metric) -> path``. The stores end at the best-scoring epoch's state (the
+    first one on ties). ``cfg`` is a ``difftt.mt.TrainConfig``.
+    """
+    if n < 1:
+        raise ValueError("empty training set: fit needs at least one sample")
+    opt = AdamW([p for store in stores for p in store.trainable()], AdamWConfig(
+        lr=cfg.lr, weight_decay=cfg.weight_decay, warmup_steps=cfg.warmup_steps,
+        max_grad_norm=cfg.max_grad_norm, grad_accum=cfg.grad_accum))
+    rng = np.random.default_rng(cfg.seed)
+    result = FitResult()
+    best_metric, best_states = -1.0, None
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        losses = []
+        for start in range(0, n, cfg.batch_size):
+            loss = batch_loss(order[start:start + cfg.batch_size])
+            loss.backward()
+            losses.append(loss.item())
+            if len(losses) % cfg.grad_accum == 0:
+                opt.step()
+                opt.zero_grad()
+        if len(losses) % cfg.grad_accum != 0:
+            opt.step()
+            opt.zero_grad()
+        result.train_loss.append(float(np.mean(losses)))
+        metric = evaluate()
+        result.val_metric.append(metric)
+        if checkpoint is not None:
+            result.checkpoint_paths.append(checkpoint(epoch, metric))
+        if metric > best_metric:
+            best_metric, result.best_epoch = metric, epoch
+            best_states = [store.state() for store in stores]
+    if best_states is not None:
+        for store, state in zip(stores, best_states):
+            store.load_state(state)
+    return result

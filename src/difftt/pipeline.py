@@ -9,15 +9,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import no_grad
 from .bridge import bridge_sequence
+from .metrics import score
 from .mt import MtModel, TrainConfig, _pad_batch
+from .optim import FitResult, fit
 from .tc import Prediction, TcModel, labels_to_matrix, train_tc
 from .vocab import Vocabulary, assert_alignment
 
@@ -78,11 +79,8 @@ class TranslateTestPipeline:
         decoded = self.mt.greedy_decode_batch(src)
         return self.tc.classify_tokens_batch([list(seq) for seq in decoded])
 
-    def predict_forced_onehot(self, target_ids) -> Prediction:
-        """Soft path with every p_j replaced by the one-hot of its argmax."""
-        return self.predict_forced_onehot_batch([list(target_ids)])[0]
-
     def predict_forced_onehot_batch(self, target_ids_batch) -> list[Prediction]:
+        """Soft path with every p_j replaced by the one-hot of its argmax."""
         src = _pad_batch([list(s) for s in target_ids_batch], self.vocab.pad_id)
         probs, _, lengths = self.mt.soft_decode_values(src)
         onehot = np.zeros_like(probs)
@@ -105,7 +103,7 @@ class TranslateTestPipeline:
         return ad.cross_entropy(logits, np.asarray([int(label)]))
 
     def finetune_end_to_end(self, few_shot_data, selection_dev,
-                            config: TrainConfig | None = None) -> "FinetuneResult":
+                            config: TrainConfig | None = None) -> FitResult:
         """Joint fine-tuning on k target-language shots, one shot per backward
         pass; ``grad_accum`` sets how many shots one optimizer step sums.
 
@@ -115,63 +113,25 @@ class TranslateTestPipeline:
         ``config.batch_size`` must be 1: there is no batched task loss, and
         a larger value is rejected rather than ignored.
         """
-        from .optim import AdamW, AdamWConfig
-
         if not few_shot_data:
             raise ValueError("finetune_end_to_end needs k >= 1 samples; use predict for zero-shot")
         cfg = config or TrainConfig(lr=3e-6, batch_size=1, warmup_steps=0, grad_accum=1)
         if cfg.batch_size != 1:
             raise ValueError(f"finetune_end_to_end supports batch_size=1 only, got "
                              f"batch_size={cfg.batch_size}; use grad_accum to sum shots")
-        opt = AdamW(self.trainable_parameters(), AdamWConfig(
-            lr=cfg.lr, weight_decay=cfg.weight_decay, warmup_steps=cfg.warmup_steps,
-            max_grad_norm=cfg.max_grad_norm, grad_accum=cfg.grad_accum))
-        rng = np.random.default_rng(cfg.seed)
         enc = [(self.vocab.encode(toks)[: self.mt.config.max_source_len], label)
                for toks, label in few_shot_data]
-        result = FinetuneResult()
-        best = (-1.0, None, None)
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(len(enc))
-            losses = []
-            micro = 0
-            for i in order:
-                ids, label = enc[i]
-                loss = self.task_loss(ids, label)
-                loss.backward()
-                losses.append(loss.item())
-                micro += 1
-                if micro % cfg.grad_accum == 0:
-                    opt.step()
-                    opt.zero_grad()
-            if micro % cfg.grad_accum != 0:
-                opt.step()
-                opt.zero_grad()
-            result.train_loss.append(float(np.mean(losses)))
-            metric = self.evaluate_metric(selection_dev)
-            result.val_metric.append(metric)
-            if metric > best[0]:
-                best = (metric, self.mt.store.state(), self.tc.store.state())
-                result.best_epoch = epoch
-        if best[1] is not None:
-            self.mt.store.load_state(best[1])
-            self.tc.store.load_state(best[2])
-        return result
+        return fit([self.mt.store, self.tc.store], len(enc),
+                   lambda idx: self.task_loss(*enc[idx[0]]),
+                   lambda: self.evaluate_metric(selection_dev), cfg)
 
     def evaluate_metric(self, labeled_data, hard: bool = False) -> float:
         """Accuracy (multi-class) or mRP (multi-label) of the pipeline on
         target-language labeled samples."""
-        from .metrics import accuracy, mean_r_precision, r_precision
-
         ids = [self.vocab.encode(toks)[: self.mt.config.max_source_len]
                for toks, _ in labeled_data]
-        golds = [label for _, label in labeled_data]
         preds = self.predict_hard_batch(ids) if hard else self.predict_batch(ids)
-        if self.tc.config.multi_label:
-            values = [r_precision(p.ranked, set(g)) for p, g in zip(preds, golds)
-                      if len(set(g)) > 0]
-            return mean_r_precision(values)
-        return accuracy([p.label for p in preds], [int(g) for g in golds])
+        return score(preds, [label for _, label in labeled_data], self.tc.config.multi_label)
 
     # ------------------------------------------------------------------
     # persistence
@@ -200,13 +160,6 @@ class TranslateTestPipeline:
         mt = MtModel.load(directory / "mt.npz", vocab)
         tc = TcModel.load(directory / "tc.npz", vocab)
         return cls(mt, tc, FreezingPolicy(**meta["freezing"]))
-
-
-@dataclass
-class FinetuneResult:
-    train_loss: list[float] = field(default_factory=list)
-    val_metric: list[float] = field(default_factory=list)
-    best_epoch: int = -1
 
 
 def vocab_hash(vocab: Vocabulary) -> str:

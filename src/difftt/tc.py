@@ -10,7 +10,7 @@ vectors, so one-hot inputs reproduce the token path bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -18,7 +18,9 @@ from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .bridge import ExpectedEmbeddingSequence
 from .checkpoint import save_checkpoint, load_checkpoint
-from .layers import EncoderLayer, pad_attention_mask
+from .layers import EncoderLayer
+from .metrics import score
+from .optim import FitResult, fit
 from .params import ParamStore
 from .vocab import Vocabulary
 
@@ -170,15 +172,15 @@ class TcModel:
     # persistence
     # ------------------------------------------------------------------
 
-    def save(self, path, opt_state=None, extra: dict | None = None):
+    def save(self, path, extra: dict | None = None):
         meta = {"kind": "tc", "config": asdict(self.config)}
         if extra:
             meta.update(extra)
-        save_checkpoint(path, self.store.parameters(), extra_meta=meta, opt_state=opt_state)
+        save_checkpoint(path, self.store.parameters(), extra_meta=meta)
 
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "TcModel":
-        values, frozen, meta, _ = load_checkpoint(path)
+        values, frozen, meta = load_checkpoint(path)
         model = cls(vocab, TcConfig(**meta["config"]))
         model.store.load_state(values)
         for name, fz in frozen.items():
@@ -201,14 +203,6 @@ def _slice_time(x: Tensor, m: int) -> Tensor:
 # training
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TcTrainResult:
-    val_metric: list[float] = field(default_factory=list)
-    train_loss: list[float] = field(default_factory=list)
-    best_epoch: int = -1
-    checkpoint_paths: list[str] = field(default_factory=list)
-
-
 def labels_to_matrix(labels, n_labels: int) -> np.ndarray:
     """Multi-label sets -> (N, L) binary matrix."""
     out = np.zeros((len(labels), n_labels))
@@ -221,7 +215,7 @@ def labels_to_matrix(labels, n_labels: int) -> np.ndarray:
 
 
 def train_tc(model: TcModel, train_data, dev_data, config=None,
-             checkpoint_dir=None) -> TcTrainResult:
+             checkpoint_dir=None) -> FitResult:
     """Train the classifier with CE (multi-class) or per-label BCE (multi-label).
 
     ``train_data``/``dev_data``: lists of (token sequence, label) where the
@@ -229,18 +223,15 @@ def train_tc(model: TcModel, train_data, dev_data, config=None,
     multi-label heads. Checkpoint selection uses validation accuracy or mean
     R-Precision according to the head kind.
     """
-    from .metrics import accuracy, mean_r_precision, r_precision
     from .mt import TrainConfig
-    from .optim import AdamW, AdamWConfig
 
-    if not train_data:
-        raise ValueError("empty labeled corpus")
     cfg = config or TrainConfig(lr=3e-6)
     vocab = model.vocab
+    multi_label = model.config.multi_label
     max_body = model.config.max_len - 1
     enc = [vocab.encode(toks)[:max_body] for toks, _ in train_data]
-    if model.config.multi_label:
-        target_mat = labels_to_matrix([labs for _, labs in train_data], model.config.n_classes)
+    if multi_label:
+        targets = labels_to_matrix([labs for _, labs in train_data], model.config.n_classes)
     else:
         targets = np.asarray([int(l) for _, l in train_data])
         if targets.size and (targets.min() < 0 or targets.max() >= model.config.n_classes):
@@ -248,58 +239,22 @@ def train_tc(model: TcModel, train_data, dev_data, config=None,
     dev_enc = [vocab.encode(toks)[:max_body] for toks, _ in dev_data]
     dev_labels = [l for _, l in dev_data]
 
-    opt = AdamW(model.store.trainable(), AdamWConfig(
-        lr=cfg.lr, weight_decay=cfg.weight_decay, warmup_steps=cfg.warmup_steps,
-        max_grad_norm=cfg.max_grad_norm, grad_accum=cfg.grad_accum))
-    rng = np.random.default_rng(cfg.seed)
-    result = TcTrainResult()
-    best_metric, best_state = -1.0, None
+    def batch_loss(idx):
+        seqs = [enc[i] for i in idx]
+        lengths = np.asarray([len(s) for s in seqs])
+        ids = np.full((len(seqs), max(int(lengths.max()), 1)), vocab.pad_id, dtype=np.int64)
+        for i, s in enumerate(seqs):
+            ids[i, :len(s)] = s
+        logits = model.logits_tokens(ids, lengths)
+        if multi_label:
+            return ad.binary_cross_entropy_per_label(logits, targets[idx])
+        return ad.cross_entropy(logits, targets[idx])
 
-    n = len(enc)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        losses = []
-        micro = 0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            seqs = [enc[i] for i in idx]
-            lengths = np.asarray([len(s) for s in seqs])
-            ids = np.full((len(seqs), max(int(lengths.max()), 1)), vocab.pad_id, dtype=np.int64)
-            for i, s in enumerate(seqs):
-                ids[i, :len(s)] = s
-            logits = model.logits_tokens(ids, lengths)
-            if model.config.multi_label:
-                loss = ad.binary_cross_entropy_per_label(logits, target_mat[idx])
-            else:
-                loss = ad.cross_entropy(logits, targets[idx])
-            loss.backward()
-            losses.append(loss.item())
-            micro += 1
-            if micro % cfg.grad_accum == 0:
-                opt.step()
-                opt.zero_grad()
-        if micro % cfg.grad_accum != 0:
-            opt.step()
-            opt.zero_grad()
-        result.train_loss.append(float(np.mean(losses)))
+    def checkpoint(epoch, metric):
+        path = str(checkpoint_dir) + f"/tc_epoch{epoch:03d}.npz"
+        model.save(path, extra={"epoch": epoch, "val_metric": metric})
+        return path
 
-        preds = model.classify_tokens_batch(dev_enc)
-        if model.config.multi_label:
-            rps = [r_precision(p.ranked, set(g)) for p, g in zip(preds, dev_labels)
-                   if len(set(g)) > 0]
-            metric = mean_r_precision(rps)
-        else:
-            metric = accuracy([p.label for p in preds], [int(g) for g in dev_labels])
-        result.val_metric.append(metric)
-        if checkpoint_dir is not None:
-            path = str(checkpoint_dir) + f"/tc_epoch{epoch:03d}.npz"
-            model.save(path, extra={"epoch": epoch, "val_metric": metric})
-            result.checkpoint_paths.append(path)
-        if metric > best_metric:
-            best_metric = metric
-            best_state = model.store.state()
-            result.best_epoch = epoch
-
-    if best_state is not None:
-        model.store.load_state(best_state)
-    return result
+    return fit([model.store], len(enc), batch_loss,
+               lambda: score(model.classify_tokens_batch(dev_enc), dev_labels, multi_label),
+               cfg, checkpoint if checkpoint_dir is not None else None)

@@ -1,10 +1,9 @@
-"""Checkpoint file round-trips, including optimizer state and frozen flags."""
+"""Checkpoint file round-trips, including frozen flags."""
 
 import numpy as np
 import pytest
 
 from difftt.checkpoint import load_checkpoint, save_checkpoint
-from difftt.optim import AdamW, AdamWConfig
 from difftt.params import Parameter, ParamStore
 
 
@@ -13,26 +12,11 @@ def test_parameter_roundtrip(tmp_path, rng):
               Parameter("b", rng.normal(size=7), frozen=True)]
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, params, extra_meta={"kind": "test", "epoch": 3})
-    values, frozen, meta, opt_state = load_checkpoint(path)
+    values, frozen, meta = load_checkpoint(path)
     assert np.array_equal(values["a"], params[0].data)
     assert np.array_equal(values["b"], params[1].data)
     assert frozen == {"a": False, "b": True}
     assert meta == {"kind": "test", "epoch": 3}
-    assert opt_state is None
-
-
-def test_optimizer_state_roundtrip(tmp_path, rng):
-    params = [Parameter("w", rng.normal(size=5))]
-    opt = AdamW(params, AdamWConfig(lr=0.1))
-    for _ in range(3):
-        params[0].tensor.grad = rng.normal(size=5)
-        opt.step()
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, params, opt_state=opt.state())
-    _, _, _, state = load_checkpoint(path)
-    assert state["t"] == 3
-    assert np.array_equal(state["m"]["w"], opt.m["w"])
-    assert np.array_equal(state["v"]["w"], opt.v["w"])
 
 
 def test_version_mismatch_rejected(tmp_path, monkeypatch):

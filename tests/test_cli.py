@@ -39,7 +39,7 @@ def write_config(tmp_path, **overrides) -> Path:
 def test_help_lists_subcommands():
     result = CliRunner().invoke(main, ["--help"])
     assert result.exit_code == 0
-    for cmd in ["gen-data", "train-mt", "train-tc", "train-baseline",
+    for cmd in ["gen-data", "train-mt", "train-tc",
                 "finetune", "evaluate", "sweep-bleu", "report"]:
         assert cmd in result.output
 

@@ -7,8 +7,9 @@ import json
 import numpy as np
 import pytest
 
+from difftt import harness
 from difftt.harness import (ExperimentConfig, RunReport, cmd_evaluate,
-                            cmd_gen_data, cmd_report, cmd_train,
+                            cmd_gen_data, cmd_report, cmd_sweep_bleu, cmd_train,
                             generate_bundle, shared_vocabulary)
 
 
@@ -120,6 +121,34 @@ def test_evaluate_rejects_unknown_method(tmp_path):
     cfg = tiny_config(tmp_path, methods=["nope"])
     with pytest.raises(ValueError, match="unknown methods"):
         cmd_evaluate(cfg, bundle=generate_bundle(cfg))
+
+
+@pytest.mark.parametrize("command", [cmd_evaluate, cmd_sweep_bleu])
+def test_bad_budget_fails_before_any_training(tmp_path, monkeypatch, command):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model was trained before the budgets were checked")
+
+    monkeypatch.setattr(harness, "train_mt", no_training)
+    monkeypatch.setattr(harness, "train_tc", no_training)
+    cfg = tiny_config(tmp_path, budgets=[0, 5], sweep={"severity": 0.8, "budgets": [0, 5]})
+    with pytest.raises(ValueError, match=r"budget 5 has no few-shot pool.*\[10, 100\]"):
+        command(cfg, bundle=generate_bundle(cfg))
+
+
+def test_translate_train_uses_the_configured_classifier(tmp_path, monkeypatch):
+    built = []
+    original = harness.translate_and_train
+
+    def recording(*args, **kwargs):
+        model = original(*args, **kwargs)
+        built.append(model.config)
+        return model
+
+    monkeypatch.setattr(harness, "translate_and_train", recording)
+    cfg = tiny_config(tmp_path, methods=["translate_train"], budgets=[0])
+    report = cmd_evaluate(cfg)
+    assert {r["method"] for r in report.rows} == {"translate_train"}
+    assert [(c.d_model, c.n_layers, c.d_ff, c.max_len) for c in built] == [(16, 1, 32, 18)]
 
 
 def test_report_detects_tampered_averages(tmp_path):

@@ -21,18 +21,11 @@ def model(vocab):
     return micro_mt(vocab)
 
 
-def test_decode_step_is_simplex(model, vocab):
-    p = model.decode_step(vocab.encode(["t0", "t1"]), [vocab.bos_id])
-    assert p.data.shape == (len(vocab),)
-    assert abs(p.data.sum() - 1.0) < 1e-12
-    assert np.all(p.data >= 0)
-
-
-def test_decode_step_requires_bos(model, vocab):
-    with pytest.raises(ValueError, match="BOS"):
-        model.decode_step(vocab.encode(["t0"]), [vocab.eos_id])
-    with pytest.raises(ValueError, match="empty"):
-        model.decode_step([], [vocab.bos_id])
+def test_nonzero_dropout_rejected():
+    # the translator applies no dropout, so a nonzero rate would be silently ignored
+    with pytest.raises(ValueError, match="dropout"):
+        MtConfig(dropout=0.1)
+    assert MtConfig(dropout=0.0).dropout == 0.0
 
 
 def test_encode_rejects_bad_lengths(model, vocab):

@@ -1,11 +1,14 @@
 """Optimizer semantics: hand-computed single-step oracle, warmup schedule,
-clipping, accumulation averaging, and the frozen-parameter contract."""
+clipping, accumulation averaging, the frozen-parameter contract, and the
+``fit`` loop's accumulation and best-epoch restore."""
 
 import numpy as np
 import pytest
 
-from difftt.optim import AdamW, AdamWConfig
-from difftt.params import Parameter
+from difftt import autodiff as ad
+from difftt.mt import TrainConfig
+from difftt.optim import AdamW, AdamWConfig, fit
+from difftt.params import Parameter, ParamStore
 
 
 def make_param(values, name="p", frozen=False):
@@ -161,3 +164,66 @@ def test_non_finite_gradient_raises_before_any_update(bad):
         for name in after[k]:
             assert np.array_equal(after[k][name], before[0][k][name])
     assert np.array_equal(p.data, before[1]) and np.array_equal(q.data, before[2])
+
+
+def one_param_store(values) -> ParamStore:
+    store = ParamStore(np.random.default_rng(0))
+    store.register("w", np.asarray(values, dtype=np.float64), "g")
+    return store
+
+
+def weighted_sum_loss(stores, weights, seen=None):
+    """batch_loss whose gradient on every store's ``w`` is the batch's summed weight."""
+    def batch_loss(idx):
+        if seen is not None:
+            seen.append(list(idx))
+        c = float(weights[idx].sum())
+        terms = [ad.sum_all(ad.scale(store["w"].tensor, c)) for store in stores]
+        return terms[0] if len(terms) == 1 else ad.add(*terms)
+    return batch_loss
+
+
+def test_fit_accumulates_and_steps_on_the_remainder(monkeypatch):
+    # 5 samples at batch 2 make micro-batches of 2, 2 and 1; with grad_accum=2
+    # the first two share a step and the remainder gets one of its own
+    stepped = []
+    original = AdamW.step
+
+    def recording_step(self):
+        stepped.append(self.params[0].grad.copy())
+        original(self)
+
+    monkeypatch.setattr(AdamW, "step", recording_step)
+    store = one_param_store([1.0, -1.0])
+    weights = np.asarray([1.0, 10.0, 100.0, 1000.0, 10000.0])
+    seen = []
+    cfg = TrainConfig(epochs=3, batch_size=2, grad_accum=2, lr=0.1, warmup_steps=0, seed=0)
+    result = fit([store], 5, weighted_sum_loss([store], weights, seen),
+                 lambda: float(len(stepped)), cfg)
+    assert result.val_metric == [2.0, 4.0, 6.0]
+    assert [len(idx) for idx in seen] == [2, 2, 1] * 3
+    for epoch in range(3):
+        first, second, rest = seen[3 * epoch: 3 * epoch + 3]
+        # gradients sum over a step's micro-batches and start from zero after it
+        assert np.array_equal(stepped[2 * epoch], np.full(2, weights[first + second].sum()))
+        assert np.array_equal(stepped[2 * epoch + 1], np.full(2, weights[rest].sum()))
+    assert store["w"].grad is None
+
+
+def test_fit_restores_every_store_to_the_best_epoch():
+    a, b = one_param_store([1.0, 2.0]), one_param_store([-3.0])
+    scripted = iter([0.2, 0.9, 0.5])
+    snapshots = []
+
+    def evaluate():
+        snapshots.append([a.state(), b.state()])
+        return next(scripted)
+
+    cfg = TrainConfig(epochs=3, batch_size=2, grad_accum=1, lr=0.1, warmup_steps=0, seed=0)
+    result = fit([a, b], 4, weighted_sum_loss([a, b], np.ones(4)), evaluate, cfg)
+    assert result.val_metric == [0.2, 0.9, 0.5] and result.best_epoch == 1
+    for store, best in zip((a, b), snapshots[1]):
+        assert np.array_equal(store["w"].data, best["w"])
+    # training moved on after epoch 1, so the restore is what put them back
+    for store, last in zip((a, b), snapshots[2]):
+        assert not np.array_equal(store["w"].data, last["w"])
