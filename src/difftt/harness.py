@@ -331,8 +331,12 @@ def cmd_sweep_bleu(config: ExperimentConfig, bundle: DatasetBundle | None = None
     if bundle is None:
         bundle = generate_bundle(config, lang=lang)
     _check_budgets(budgets, bundle)
-    vocab = shared_vocabulary(lang)
     seed = config.seeds[0]
+    mt_train = config.train_config("mt", seed)
+    if mt_train.epochs < 2:  # the untrained checkpoint plus one per epoch
+        raise ValueError(f"sweep needs at least 3 MT checkpoints, so mt_train.epochs >= 2; "
+                         f"got epochs={mt_train.epochs}")
+    vocab = shared_vocabulary(lang)
 
     ckpt_dir = Path(config.out_dir) / "sweep_checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -341,10 +345,8 @@ def cmd_sweep_bleu(config: ExperimentConfig, bundle: DatasetBundle | None = None
     mt.save(untrained, extra={"epoch": -1})
     result = train_mt(mt, [(t, s) for s, t in bundle.parallel.train],
                       [(t, s) for s, t in bundle.parallel.dev],
-                      config.train_config("mt", seed), checkpoint_dir=ckpt_dir)
+                      mt_train, checkpoint_dir=ckpt_dir)
     checkpoints = [str(untrained)] + result.checkpoint_paths
-    if len(checkpoints) < 3:
-        raise ValueError(f"sweep needs at least 3 MT checkpoints, found {len(checkpoints)}")
 
     tc, _ = train_tc_component(config, bundle, vocab, seed)
     tc_state = tc.store.state()

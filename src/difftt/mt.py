@@ -45,8 +45,9 @@ class SoftTranslation:
     """Per-step distributions {p_1..p_m} plus the greedy tokens {t_1..t_m}.
 
     The final step is the EOS-producing one (when EOS was reached within the
-    decode budget). ``probs`` is an (m, V) Tensor; argmax of row j equals
-    tokens[j].
+    decode budget). ``probs`` is an (m, V) Tensor, the teacher-forced pass
+    over the tokens, and the tokens are that pass's greedy fixed point:
+    ``argmax(probs) == tokens`` holds exactly, row by row.
     """
     probs: Tensor
     tokens: np.ndarray
@@ -207,24 +208,67 @@ class MtModel:
                 step_in = np.where(finished, pad, step)[:, None]
         return steps, dists
 
-    def soft_decode(self, source_ids) -> SoftTranslation:
-        """Greedy-decode, then recompute the per-step distributions on the tape.
+    def soft_decode(self, source_ids, draft=None) -> SoftTranslation:
+        """Greedy tokens and their per-step distributions on the tape.
 
-        The source is encoded once, on the tape, and the gradient-free greedy
-        decode reads that memory. The recomputation teacher-forces the decoder
-        with the decoded hard tokens, which reproduces the distributions seen
-        during decoding (conditioning is on hard tokens either way; values
-        agree up to float summation order) while giving them gradient w.r.t.
-        the translator parameters.
+        The tokens are the greedy fixed point of the teacher-forced decoder
+        pass: fed BOS plus its own tokens, the pass's argmax at every step is
+        that step's token, so ``argmax(probs) == tokens`` holds exactly. The
+        source is encoded once, on the tape. A pass is checked against a
+        guess, the ``draft`` (token ids; the gradient-free cached greedy
+        decode when None); a rejected pass's argmax, cut at its first EOS, is
+        the next guess, fed one position longer while it lacks EOS and is
+        under the budget. Each pass fixes at least one more leading token, so
+        a wrong draft costs at most len(tokens) + 1 passes, and a draft only
+        changes speed: the returned pass is the one teacher-forced pass over
+        the final tokens, so probabilities and gradients are bitwise those of
+        a decode without one. Conditioning is on hard tokens; only the
+        probabilities carry gradient w.r.t. the translator parameters.
         """
         memory, cross_mask = self.encode(np.asarray([list(source_ids)]))
-        # one row: the loop ends at its EOS (or the budget), so every step is kept
-        tokens = np.concatenate(self._greedy_steps(memory, cross_mask, False)[0])
-        dec_in = np.asarray([[self.vocab.bos_id] + list(tokens[:-1])])
-        logits = self.decode_logits(memory, cross_mask, dec_in)
+
+        def greedy():
+            # one row: the loop ends at its EOS (or the budget), so every step is kept
+            return np.concatenate(self._greedy_steps(memory, cross_mask, False)[0])
+
+        tokens = greedy() if draft is None else self._check_draft(draft)
+        for _ in range(self.config.max_decode_len + 1):
+            probs, step = self._forced_pass(memory, cross_mask, tokens)
+            if np.array_equal(step, tokens):
+                return SoftTranslation(probs=probs, tokens=tokens)
+            tokens = _through_eos(step, self.vocab.eos_id)
+        # unreachable unless float rounding at an argmax near-tie differs
+        # between pass lengths; the cached greedy tokens then stand
+        tokens = greedy()
+        return SoftTranslation(probs=self._forced_pass(memory, cross_mask, tokens)[0],
+                               tokens=tokens)
+
+    def _check_draft(self, draft) -> np.ndarray:
+        """A draft as a 1-D int64 array, cut at its first EOS; malformed ones raise."""
+        draft = np.asarray(draft)
+        if draft.ndim != 1 or draft.size == 0:
+            raise ValueError(f"a draft is a non-empty 1-D token sequence, got shape {draft.shape}")
+        if not np.issubdtype(draft.dtype, np.integer):
+            raise ValueError(f"draft token ids must be integers, got dtype {draft.dtype}")
+        if draft.size > self.config.max_decode_len:
+            raise ValueError(f"draft length {draft.size} exceeds max_decode_len "
+                             f"{self.config.max_decode_len}")
+        if draft.min() < 0 or draft.max() >= len(self.vocab):
+            raise ValueError(f"draft holds token ids outside the vocabulary "
+                             f"[0, {len(self.vocab)})")
+        return _through_eos(draft.astype(np.int64), self.vocab.eos_id)
+
+    def _forced_pass(self, memory: Tensor, cross_mask: np.ndarray, tokens: np.ndarray):
+        """One teacher-forced pass on the tape over BOS + ``tokens``: (step
+        distributions Tensor, their argmax). Finished tokens (ending in EOS or
+        filling the budget) are fed without their last one, giving one row per
+        token; unfinished ones are fed whole, giving one row more."""
+        finished = tokens[-1] == self.vocab.eos_id or len(tokens) == self.config.max_decode_len
+        dec_in = np.concatenate([[self.vocab.bos_id], tokens[:-1] if finished else tokens])
+        logits = self.decode_logits(memory, cross_mask, dec_in[None, :])
         probs = ad.softmax(logits, temperature=self.config.temperature)
-        probs = ad.reshape(probs, (len(tokens), len(self.vocab)))
-        return SoftTranslation(probs=probs, tokens=tokens)
+        probs = ad.reshape(probs, (len(dec_in), len(self.vocab)))
+        return probs, np.argmax(probs.data, axis=-1)
 
     def soft_decode_values(self, src_ids: np.ndarray):
         """Batched, gradient-free soft decode for evaluation: the step
@@ -281,6 +325,12 @@ class MtTrainResult(FitResult):
     @property
     def val_bleu(self) -> list[float]:
         return self.val_metric
+
+
+def _through_eos(tokens: np.ndarray, eos_id: int) -> np.ndarray:
+    """``tokens`` up to and including the first EOS, or all of them."""
+    hits = np.flatnonzero(tokens == eos_id)
+    return tokens[:hits[0] + 1] if hits.size else tokens
 
 
 def _pad_batch(seqs: list[list[int]], pad_id: int) -> np.ndarray:

@@ -26,7 +26,8 @@ class AdamW:
 
     The training loop accumulates gradients over ``grad_accum`` microbatches
     (plain summation via repeated ``backward()``), then calls ``step()``.
-    ``step()`` divides by the accumulation factor, clips the global norm, and
+    ``step()`` divides by the number of microbatches summed (``grad_accum``
+    unless given, as for a shorter remainder), clips the global norm, and
     applies the update. Frozen parameters are never touched; their moment
     accumulators do not exist.
     """
@@ -71,14 +72,15 @@ class AdamW:
                 p.tensor.grad = p.grad * factor
         return norm
 
-    def step(self):
+    def step(self, micro_batches: int | None = None):
         cfg = self.config
         for p in self.params:
             if p.grad is None:
                 raise ValueError(f"missing gradient on trainable parameter {p.name!r}")
-        if cfg.grad_accum != 1:
+        n = cfg.grad_accum if micro_batches is None else micro_batches
+        if n != 1:
             for p in self.params:
-                p.tensor.grad = p.grad / cfg.grad_accum
+                p.tensor.grad = p.grad / n
         self.clip_global_norm()
         lr = self.current_lr()
         self.t += 1
@@ -124,10 +126,10 @@ def fit(stores: list[ParamStore], n: int, batch_loss, evaluate, cfg,
 
     Each of ``cfg.epochs`` epochs permutes the samples, runs micro-batches of
     ``cfg.batch_size`` through ``batch_loss(indices) -> scalar loss Tensor``
-    and sums their gradients, steps AdamW every ``cfg.grad_accum``
-    micro-batches (plus once on a remainder), scores the epoch with
-    ``evaluate() -> float`` and, when given, calls ``checkpoint(epoch,
-    metric) -> path``. The stores end at the best-scoring epoch's state (the
+    and sums their gradients, steps AdamW on the mean gradient of every
+    ``cfg.grad_accum`` micro-batches (and of a shorter remainder), scores
+    the epoch with ``evaluate() -> float`` and, when given, calls
+    ``checkpoint(epoch, metric) -> path``. The stores end at the best-scoring epoch's state (the
     first one on ties). ``cfg`` is a ``difftt.mt.TrainConfig``.
     """
     if n < 1:
@@ -149,7 +151,7 @@ def fit(stores: list[ParamStore], n: int, batch_loss, evaluate, cfg,
                 opt.step()
                 opt.zero_grad()
         if len(losses) % cfg.grad_accum != 0:
-            opt.step()
+            opt.step(len(losses) % cfg.grad_accum)
             opt.zero_grad()
         result.train_loss.append(float(np.mean(losses)))
         metric = evaluate()

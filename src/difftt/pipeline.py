@@ -92,9 +92,13 @@ class TranslateTestPipeline:
     # joint fine-tuning
     # ------------------------------------------------------------------
 
-    def task_loss(self, target_ids, label):
-        """Differentiable end-to-end task loss for one target-language sample."""
-        st = self.mt.soft_decode(list(target_ids))
+    def task_loss(self, target_ids, label, draft=None):
+        """Differentiable end-to-end task loss for one target-language sample.
+
+        ``draft`` is a guess at the sample's greedy translation, passed to
+        ``MtModel.soft_decode``: it changes only the cost, never the loss or
+        its gradients."""
+        st = self.mt.soft_decode(list(target_ids), draft)
         seq = bridge_sequence(st, self.tc)
         logits = self.tc.logits_soft(seq)
         if self.tc.config.multi_label:
@@ -108,7 +112,12 @@ class TranslateTestPipeline:
         pass; ``grad_accum`` sets how many shots one optimizer step sums.
 
         The task loss backpropagates through the classifier, the bridge and
-        the soft decode into every non-frozen parameter of both models.
+        the soft decode into every non-frozen parameter of both models. Each
+        shot's soft decode is the greedy fixed point of its teacher-forced
+        pass (``argmax(probs) == tokens`` exactly); one batched greedy decode
+        of all shots at the starting weights gives each shot a draft that the
+        pass verifies, so most shots skip the step-by-step decode while every
+        loss and gradient stays bitwise what a decode without drafts gives.
         Checkpoint selection uses the selection-dev split (accuracy or mRP).
         ``config.batch_size`` must be 1: there is no batched task loss, and
         a larger value is rejected rather than ignored.
@@ -121,8 +130,10 @@ class TranslateTestPipeline:
                              f"batch_size={cfg.batch_size}; use grad_accum to sum shots")
         enc = [(self.vocab.encode(toks)[: self.mt.config.max_source_len], label)
                for toks, label in few_shot_data]
+        drafts = self.mt.greedy_decode_batch(_pad_batch([ids for ids, _ in enc],
+                                                        self.vocab.pad_id))
         return fit([self.mt.store, self.tc.store], len(enc),
-                   lambda idx: self.task_loss(*enc[idx[0]]),
+                   lambda idx: self.task_loss(*enc[idx[0]], draft=drafts[idx[0]]),
                    lambda: self.evaluate_metric(selection_dev), cfg)
 
     def evaluate_metric(self, labeled_data, hard: bool = False) -> float:

@@ -135,6 +135,19 @@ def test_bad_budget_fails_before_any_training(tmp_path, monkeypatch, command):
         command(cfg, bundle=generate_bundle(cfg))
 
 
+def test_sweep_rejects_too_few_epochs_before_training(tmp_path, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model was trained before the epoch count was checked")
+
+    monkeypatch.setattr(harness, "train_mt", no_training)
+    monkeypatch.setattr(harness, "train_tc", no_training)
+    cfg = tiny_config(tmp_path, sweep={"severity": 0.8, "budgets": [0]})
+    assert cfg.mt_train["epochs"] == 1
+    with pytest.raises(ValueError, match="at least 3 MT checkpoints.*epochs=1"):
+        cmd_sweep_bleu(cfg, bundle=generate_bundle(cfg))
+    assert not (tmp_path / "run" / "sweep_checkpoints").exists()
+
+
 def test_translate_train_uses_the_configured_classifier(tmp_path, monkeypatch):
     built = []
     original = harness.translate_and_train

@@ -93,6 +93,9 @@ def test_soft_decode_encodes_once(model, vocab, monkeypatch):
     monkeypatch.setattr(model, "encode", lambda src: calls.append(src) or encode(src))
     model.soft_decode(vocab.encode(["t0", "t3", "t5"]))
     assert len(calls) == 1
+    # so do the verifying passes of a draft
+    model.soft_decode(vocab.encode(["t0", "t3", "t5"]), draft=[5, 6, 7])
+    assert len(calls) == 2
 
 
 def test_decoder_causality_exact(model, vocab):
@@ -289,3 +292,67 @@ def test_cached_step_rejects_misuse(model, vocab):
             model.decode_logits(memory, cross_mask, np.asarray([[vocab.bos_id, 5]]), cache)
     with pytest.raises(RuntimeError, match="no_grad"):
         model.decode_logits(memory, cross_mask, np.asarray([[vocab.bos_id]]), cache)
+
+
+# ---------------------------------------------------------------------------
+# soft decoding from a draft
+# ---------------------------------------------------------------------------
+
+DRAFT_KINDS = ["greedy", "random", "single", "budget_no_eos"]
+
+
+def draw_draft(data, model, src, kind):
+    """A draft of the given kind for ``src``: its greedy decode, random
+    tokens, one random token, or a full-budget draft without EOS."""
+    v, budget = len(model.vocab), model.config.max_decode_len
+    if kind == "greedy":
+        return model.greedy_decode(src)
+    if kind == "random":
+        return data.draw(st.lists(st.integers(0, v - 1), min_size=1, max_size=budget))
+    if kind == "single":
+        return [data.draw(st.integers(0, v - 1))]
+    not_eos = st.integers(0, v - 1).filter(lambda t: t != model.vocab.eos_id)
+    return data.draw(st.lists(not_eos, min_size=budget, max_size=budget))
+
+
+def counting_decode_calls(model):
+    """Wrap ``model.decode_logits`` to count its calls; undo with ``del``."""
+    calls = []
+    original = model.decode_logits
+    model.decode_logits = lambda *args: calls.append(1) or original(*args)
+    return calls
+
+
+@pytest.mark.parametrize("seed", sorted(PROP_MODELS))
+@settings(max_examples=25, deadline=None)
+@given(src=st.lists(st.integers(5, len(PROP_VOCAB) - 1), min_size=1,
+                    max_size=PROP_CONFIG.max_source_len),
+       kind=st.sampled_from(DRAFT_KINDS), data=st.data())
+def test_soft_decode_from_a_draft_reaches_the_greedy_fixed_point(seed, src, kind, data):
+    model = PROP_MODELS[seed]
+    draft = draw_draft(data, model, src, kind)
+    reference = model.soft_decode(src)
+    calls = counting_decode_calls(model)
+    try:
+        got = model.soft_decode(src, draft=draft)
+    finally:
+        del model.decode_logits
+    assert np.array_equal(got.tokens, model.greedy_decode(src))
+    assert np.array_equal(got.tokens, reference.tokens)
+    assert got.probs.data.shape == reference.probs.data.shape
+    assert np.array_equal(got.probs.data, reference.probs.data)
+    assert np.array_equal(got.probs.data.argmax(axis=-1), got.tokens)
+    assert len(calls) <= len(got.tokens) + 2
+    if kind == "greedy":
+        assert len(calls) == 1
+
+
+def test_soft_decode_rejects_malformed_drafts(model, vocab):
+    src = vocab.encode(["t0", "t3"])
+    budget = model.config.max_decode_len
+    for draft, match in [([], "non-empty"), ([[5, 6]], "non-empty"),
+                         ([5, len(vocab)], "outside the vocabulary"),
+                         ([-1], "outside the vocabulary"), ([5.0], "integers"),
+                         ([5] * (budget + 1), "exceeds max_decode_len")]:
+        with pytest.raises(ValueError, match=match):
+            model.soft_decode(src, draft=draft)

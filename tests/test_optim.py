@@ -189,9 +189,9 @@ def test_fit_accumulates_and_steps_on_the_remainder(monkeypatch):
     stepped = []
     original = AdamW.step
 
-    def recording_step(self):
+    def recording_step(self, *args):
         stepped.append(self.params[0].grad.copy())
-        original(self)
+        original(self, *args)
 
     monkeypatch.setattr(AdamW, "step", recording_step)
     store = one_param_store([1.0, -1.0])
@@ -208,6 +208,24 @@ def test_fit_accumulates_and_steps_on_the_remainder(monkeypatch):
         assert np.array_equal(stepped[2 * epoch], np.full(2, weights[first + second].sum()))
         assert np.array_equal(stepped[2 * epoch + 1], np.full(2, weights[rest].sum()))
     assert store["w"].grad is None
+
+
+def test_fit_remainder_step_averages_its_own_micro_batches(monkeypatch):
+    # 3 samples at batch 1 with grad_accum=2 make a step of two micro-batches
+    # and a remainder step of one; every micro-batch gives gradient 1.0, so
+    # both steps must apply the mean, 1.0 (not 2/2 then 1/2)
+    applied = []
+    original = AdamW.clip_global_norm
+
+    def recording_clip(self):
+        applied.append(self.params[0].grad.copy())
+        return original(self)
+
+    monkeypatch.setattr(AdamW, "clip_global_norm", recording_clip)
+    store = one_param_store([1.0])
+    cfg = TrainConfig(epochs=1, batch_size=1, grad_accum=2, lr=0.1, warmup_steps=0, seed=0)
+    fit([store], 3, weighted_sum_loss([store], np.ones(3)), lambda: 0.0, cfg)
+    assert [g.tolist() for g in applied] == [[1.0], [1.0]]
 
 
 def test_fit_restores_every_store_to_the_best_epoch():

@@ -89,12 +89,12 @@ def test_task_loss_backprops_into_both_models(pipeline, vocab):
     assert pipeline.tc.store["head.w"].grad is not None
 
 
-def task_loss_grads(pipe, ids, label):
+def task_loss_grads(pipe, ids, label, draft=None):
     """Every parameter's gradient after one task-loss backward pass."""
     stores = (("mt", pipe.mt.store), ("tc", pipe.tc.store))
     for _, store in stores:
         store.zero_grad()
-    pipe.task_loss(ids, label).backward()
+    pipe.task_loss(ids, label, draft).backward()
     return {(tag, name): store[name].grad for tag, store in stores for name in store.names()}
 
 
@@ -106,6 +106,53 @@ def frozen_flags(pipe):
             assert p.tensor.requires_grad is not p.frozen
             flags[(tag, name)] = p.frozen
     return flags
+
+
+def test_draft_changes_neither_task_loss_nor_gradients(pipeline, vocab, rng):
+    # a draft is a speed hint: right, random, one token or a full budget
+    # without EOS, the loss and every trainable gradient are bitwise the same
+    mt, v = pipeline.mt, len(vocab)
+    budget = mt.config.max_decode_len
+    not_eos = [t for t in range(v) if t != vocab.eos_id]
+    for ids in random_inputs(vocab, rng, 6):
+        label = int(rng.integers(3))
+        loss = pipeline.task_loss(ids, label).item()
+        grads = task_loss_grads(pipeline, ids, label)
+        drafts = [mt.greedy_decode(ids), rng.integers(0, v, size=int(rng.integers(1, budget + 1))),
+                  rng.integers(0, v, size=1), rng.choice(not_eos, size=budget)]
+        for draft in drafts:
+            assert pipeline.task_loss(ids, label, draft=draft).item() == loss
+            got = task_loss_grads(pipeline, ids, label, draft)
+            for key, grad in grads.items():
+                assert (grad is None) == (got[key] is None), key
+                assert grad is None or np.array_equal(grad, got[key]), key
+
+
+def test_finetune_drafts_change_no_float(vocab, rng):
+    # fine-tuning hands each shot a draft; dropping the drafts (and so
+    # decoding each shot step by step) gives bitwise the same run
+    data = [(["t%d" % int(rng.integers(15)) for _ in range(int(rng.integers(1, 5)))],
+             int(rng.integers(3))) for _ in range(5)]
+    cfg = TrainConfig(epochs=3, batch_size=1, lr=3e-2, warmup_steps=0, grad_accum=2, seed=1)
+    runs, drafts = [], []
+    for use_drafts in (True, False):
+        pipe = TranslateTestPipeline(micro_mt(vocab), micro_tc(vocab))
+
+        def task_loss(ids, label, draft=None, pipe=pipe, use_drafts=use_drafts):
+            drafts.append(draft)
+            return TranslateTestPipeline.task_loss(pipe, ids, label,
+                                                   draft if use_drafts else None)
+
+        pipe.task_loss = task_loss
+        result = pipe.finetune_end_to_end(data, data, cfg)
+        runs.append((result, pipe.mt.store.state(), pipe.tc.store.state()))
+    assert len(drafts) == 2 * len(data) * cfg.epochs
+    assert all(d is not None for d in drafts)
+    (a, a_mt, a_tc), (b, b_mt, b_tc) = runs
+    assert a.train_loss == b.train_loss and a.val_metric == b.val_metric
+    assert a.best_epoch == b.best_epoch
+    for x, y in ((a_mt, b_mt), (a_tc, b_tc)):
+        assert all(np.array_equal(x[n], y[n]) for n in x)
 
 
 def test_frozen_parameters_get_no_gradient(vocab, rng):
