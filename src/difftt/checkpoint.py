@@ -9,6 +9,7 @@ Layout of the archive:
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -33,17 +34,25 @@ def save_checkpoint(path, params, extra_meta: dict | None = None):
 
 
 def load_checkpoint(path):
-    """Return (values: name -> ndarray, frozen: name -> bool, meta)."""
-    with np.load(Path(path)) as z:
-        meta = json.loads(bytes(z["__meta__"]).decode())
-        if meta.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format version: {meta.get('format_version')}")
-        values = {}
-        frozen = {}
-        for rec in meta["params"]:
-            name = rec["name"]
-            values[name] = np.asarray(z["p:" + name], dtype=np.float64)
-            if list(values[name].shape) != rec["shape"]:
-                raise ValueError(f"corrupt checkpoint: shape mismatch for {name}")
-            frozen[name] = bool(rec["frozen"])
-    return values, frozen, meta["extra"]
+    """Return (values: name -> ndarray, frozen: name -> bool, meta).
+
+    A file that is not a whole checkpoint (truncated, not an npz, a bad
+    metadata record) raises ``ValueError`` naming it."""
+    path = Path(path)
+    try:
+        with np.load(path) as z:
+            meta = json.loads(bytes(z["__meta__"]).decode())
+            version = meta.get("format_version") if isinstance(meta, dict) else None
+            if version != FORMAT_VERSION:
+                raise ValueError(f"unsupported checkpoint format version: {version}")
+            values = {}
+            frozen = {}
+            for rec in meta["params"]:
+                name = rec["name"]
+                values[name] = np.asarray(z["p:" + name], dtype=np.float64)
+                if list(values[name].shape) != rec["shape"]:
+                    raise ValueError(f"shape mismatch for {name}")
+                frozen[name] = bool(rec["frozen"])
+            return values, frozen, meta["extra"]
+    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"cannot load checkpoint {path}: {exc}") from exc

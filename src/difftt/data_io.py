@@ -88,13 +88,33 @@ def write_bundle(bundle: DatasetBundle, directory):
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
+def read_json(path, required: tuple[str, ...] = ()) -> dict:
+    """The JSON object in ``path``. A file that does not hold one, or lacks
+    a ``required`` key, raises ``ValueError`` naming it."""
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # malformed JSON or not UTF-8
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    missing = [k for k in required if k not in data]
+    if missing:
+        raise ValueError(f"{path} lacks the keys {missing}")
+    return data
+
+
 def read_bundle(directory) -> DatasetBundle:
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
+    path = directory / "manifest.json"
+    manifest = read_json(path, ("task", "lang", "sizes"))
     if manifest.get("manifest_version") != MANIFEST_VERSION:
         raise ValueError("unsupported manifest version")
-    task = TaskSpec(**manifest["task"])
-    lang = SyntheticLanguageSpec(**manifest["lang"])
+    try:
+        task = TaskSpec(**manifest["task"])
+        lang = SyntheticLanguageSpec(**manifest["lang"])
+    except TypeError as exc:  # unknown or missing spec fields
+        raise ValueError(f"{path}: {exc}") from exc
     ml = task.kind == "multi_label"
     few_shot = {k: read_labeled(directory / f"few_shot_{k}.tsv", ml)
                 for k in manifest["sizes"]["few_shot"]}

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from scipy import stats
 
-from .data_io import read_bundle, write_bundle
+from .data_io import read_bundle, read_json, write_bundle
 from .metrics import score
 from .mt import MtConfig, MtModel, TrainConfig, evaluate_bleu, train_mt
 from .pipeline import (FreezingPolicy, TranslateTestPipeline, lm_baseline,
@@ -390,9 +390,7 @@ def cmd_sweep_bleu(config: ExperimentConfig, bundle: DatasetBundle | None = None
 def cmd_report(out_dir) -> RunReport:
     """Reload a written report and verify its averages recompute identically."""
     path = Path(out_dir) / "report" / "report.json"
-    data = json.loads(path.read_text())
-    if not isinstance(data, dict):
-        raise ValueError(f"{path} does not hold a JSON object")
+    data = read_json(path)
     known = {f.name for f in dataclasses.fields(RunReport)}
     unknown, missing = sorted(set(data) - known), sorted(known - set(data))
     if unknown or missing:

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .bridge import bridge_sequence
+from .data_io import read_json
 from .metrics import score
 from .mt import MtModel, TrainConfig, _pad_batch
 from .optim import FitResult, fit
@@ -92,19 +93,22 @@ class TranslateTestPipeline:
     # joint fine-tuning
     # ------------------------------------------------------------------
 
-    def task_loss(self, target_ids, label, draft=None):
+    def task_loss(self, target_ids, label, draft=None, return_tokens=False):
         """Differentiable end-to-end task loss for one target-language sample.
 
         ``draft`` is a guess at the sample's greedy translation, passed to
         ``MtModel.soft_decode``: it changes only the cost, never the loss or
-        its gradients."""
+        its gradients. With ``return_tokens`` the result is ``(loss,
+        tokens)``, the tokens being the verified greedy translation."""
         st = self.mt.soft_decode(list(target_ids), draft)
         seq = bridge_sequence(st, self.tc)
         logits = self.tc.logits_soft(seq)
         if self.tc.config.multi_label:
-            return ad.binary_cross_entropy_per_label(
+            loss = ad.binary_cross_entropy_per_label(
                 logits, labels_to_matrix([label], self.tc.config.n_classes))
-        return ad.cross_entropy(logits, np.asarray([int(label)]))
+        else:
+            loss = ad.cross_entropy(logits, np.asarray([int(label)]))
+        return (loss, st.tokens) if return_tokens else loss
 
     def finetune_end_to_end(self, few_shot_data, selection_dev,
                             config: TrainConfig | None = None) -> FitResult:
@@ -115,9 +119,10 @@ class TranslateTestPipeline:
         the soft decode into every non-frozen parameter of both models. Each
         shot's soft decode is the greedy fixed point of its teacher-forced
         pass (``argmax(probs) == tokens`` exactly); one batched greedy decode
-        of all shots at the starting weights gives each shot a draft that the
-        pass verifies, so most shots skip the step-by-step decode while every
-        loss and gradient stays bitwise what a decode without drafts gives.
+        of all shots at the starting weights gives each shot its first draft
+        and each verified translation is that shot's next draft, so most
+        shots skip the step-by-step decode while every loss and gradient
+        stays bitwise what a decode without drafts gives.
         Checkpoint selection uses the selection-dev split (accuracy or mRP).
         ``config.batch_size`` must be 1: there is no batched task loss, and
         a larger value is rejected rather than ignored.
@@ -132,8 +137,13 @@ class TranslateTestPipeline:
                for toks, label in few_shot_data]
         drafts = self.mt.greedy_decode_batch(_pad_batch([ids for ids, _ in enc],
                                                         self.vocab.pad_id))
-        return fit([self.mt.store, self.tc.store], len(enc),
-                   lambda idx: self.task_loss(*enc[idx[0]], draft=drafts[idx[0]]),
+
+        def shot_loss(idx):
+            i = idx[0]
+            loss, drafts[i] = self.task_loss(*enc[i], draft=drafts[i], return_tokens=True)
+            return loss
+
+        return fit([self.mt.store, self.tc.store], len(enc), shot_loss,
                    lambda: self.evaluate_metric(selection_dev), cfg)
 
     def evaluate_metric(self, labeled_data, hard: bool = False) -> float:
@@ -164,13 +174,18 @@ class TranslateTestPipeline:
     @classmethod
     def load(cls, directory) -> "TranslateTestPipeline":
         directory = Path(directory)
-        meta = json.loads((directory / "pipeline.json").read_text())
+        path = directory / "pipeline.json"
+        meta = read_json(path, ("freezing", "vocab_hash"))
+        try:
+            freezing = FreezingPolicy(**meta["freezing"])
+        except TypeError as exc:  # unknown or missing policy fields
+            raise ValueError(f"{path}: {exc}") from exc
         vocab = Vocabulary.load(directory / "vocab.txt")
         if vocab_hash(vocab) != meta["vocab_hash"]:
             raise ValueError("vocabulary hash mismatch in pipeline checkpoint")
         mt = MtModel.load(directory / "mt.npz", vocab)
         tc = TcModel.load(directory / "tc.npz", vocab)
-        return cls(mt, tc, FreezingPolicy(**meta["freezing"]))
+        return cls(mt, tc, freezing)
 
 
 def vocab_hash(vocab: Vocabulary) -> str:

@@ -14,8 +14,10 @@ never touches, so labels survive translation by construction.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,15 +43,32 @@ class SyntheticLanguageSpec:
 
     def bijection(self) -> dict[str, str]:
         """Invertible high-resource -> target token map (identity on function words)."""
-        rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0xB11]))
-        perm = rng.permutation(self.n_content_tokens)
-        mapping = {f"w{i:03d}": f"z{perm[i]:03d}" for i in range(self.n_content_tokens)}
-        for f in self.function_words():
-            mapping[f] = f
-        return mapping
+        return dict(_cipher(self).forward)
 
     def inverse_bijection(self) -> dict[str, str]:
-        return {v: k for k, v in self.bijection().items()}
+        return dict(_cipher(self).inverse)
+
+
+class _Cipher(NamedTuple):
+    """A language's fixed tables, shared by every sentence: never mutate them
+    (``bijection`` and ``inverse_bijection`` hand out copies)."""
+    forward: dict[str, str]
+    inverse: dict[str, str]
+    functions: tuple[str, ...]
+    function_set: frozenset[str]
+
+
+@functools.lru_cache(maxsize=256)
+def _cipher(spec: SyntheticLanguageSpec) -> _Cipher:
+    """The tables of ``spec``, built once per spec value."""
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xB11]))
+    perm = rng.permutation(spec.n_content_tokens)
+    forward = {f"w{i:03d}": f"z{perm[i]:03d}" for i in range(spec.n_content_tokens)}
+    functions = tuple(spec.function_words())
+    for f in functions:
+        forward[f] = f
+    return _Cipher(forward, {v: k for k, v in forward.items()},
+                   functions, frozenset(functions))
 
 
 def degrade_language(spec: SyntheticLanguageSpec, severity: float) -> SyntheticLanguageSpec:
@@ -66,13 +85,15 @@ def degrade_language(spec: SyntheticLanguageSpec, severity: float) -> SyntheticL
 def translate_tokens(tokens: list[str], spec: SyntheticLanguageSpec,
                      rng: np.random.Generator) -> list[str]:
     """Cipher + adjacent swaps + synonym noise over function words."""
-    mapping = spec.bijection()
-    out = [mapping.get(t, t) for t in tokens]
-    for i in range(len(out) - 1):
-        if rng.random() < spec.reorder_prob:
+    cipher = _cipher(spec)
+    forward = cipher.forward
+    out = [forward.get(t, t) for t in tokens]
+    if len(out) > 1:
+        # one draw per adjacent pair, in order, as a loop of rng.random() makes
+        swaps = rng.random(len(out) - 1) < spec.reorder_prob
+        for i in swaps.nonzero()[0].tolist():
             out[i], out[i + 1] = out[i + 1], out[i]
-    functions = spec.function_words()
-    function_set = set(functions)
+    functions, function_set = cipher.functions, cipher.function_set
     for i, t in enumerate(out):
         if t in function_set and rng.random() < spec.noise_rate:
             out[i] = functions[int(rng.integers(len(functions)))]
@@ -106,7 +127,7 @@ def oracle_label(tokens: list[str], task: TaskSpec,
     present = set(tokens)
     marker_sets = task.marker_sets()
     if lang is not None:
-        mapping = lang.bijection()
+        mapping = _cipher(lang).forward
         marker_sets = [[mapping[m] for m in ms] for ms in marker_sets]
     hits = [c for c, ms in enumerate(marker_sets) if present & set(ms)]
     if task.kind == "multi_class":
@@ -177,7 +198,7 @@ def gen_language_pair(spec: SyntheticLanguageSpec,
     sentences = []
     while len(sentences) < total:
         n = int(rng.integers(min_len, max_len + 1))
-        sent = [inventory[int(i)] for i in rng.integers(len(inventory), size=n)]
+        sent = [inventory[i] for i in rng.integers(len(inventory), size=n).tolist()]
         key = " ".join(sent)
         if key in seen:
             continue
@@ -197,12 +218,12 @@ def _gen_labeled(task: TaskSpec, lang: SyntheticLanguageSpec, count: int,
     next_class = 0
     while len(samples) < count:
         n = int(rng.integers(task.min_len, task.max_len + 1))
-        sent = [neutral[int(i)] for i in rng.integers(len(neutral), size=n)]
+        sent = [neutral[i] for i in rng.integers(len(neutral), size=n).tolist()]
         if task.kind == "multi_class":
             label = next_class
             markers = marker_sets[label]
             k = int(rng.integers(1, len(markers) + 1))
-            chosen = [markers[int(i)] for i in rng.choice(len(markers), size=k, replace=False)]
+            chosen = [markers[i] for i in rng.choice(len(markers), size=k, replace=False).tolist()]
             for m in chosen:
                 pos = int(rng.integers(len(sent) + 1))
                 sent.insert(pos, m)

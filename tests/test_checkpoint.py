@@ -30,6 +30,18 @@ def test_version_mismatch_rejected(tmp_path, monkeypatch):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("damage", ["truncated", "empty", "not-npz", "flipped-byte"])
+def test_corrupt_checkpoint_is_a_named_value_error(tmp_path, damage):
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, [Parameter("w", np.arange(40.0))])
+    data = path.read_bytes()
+    path.write_bytes({"truncated": data[: len(data) // 2], "empty": b"",
+                      "not-npz": b"not a checkpoint\n" * 8,
+                      "flipped-byte": data[:200] + bytes([data[200] ^ 0xFF]) + data[201:]}[damage])
+    with pytest.raises(ValueError, match="cannot load checkpoint .*ckpt.npz"):
+        load_checkpoint(path)
+
+
 def test_param_store_load_state_rejects_bad_states(rng):
     store = ParamStore(rng)
     store.linear("lin", 2, 3, "g")

@@ -79,6 +79,35 @@ def test_invalid_config_fails_cleanly(tmp_path):
     assert err["error"]["category"] == "invalid-config-or-data"
 
 
+def test_corrupt_manifest_fails_cleanly(tmp_path):
+    cfg = write_config(tmp_path)
+    runner = CliRunner()
+    assert runner.invoke(main, ["gen-data", str(cfg)]).exit_code == 0
+    (tmp_path / "run" / "data" / "manifest.json").write_text("{truncated")
+    result = runner.invoke(main, ["train-tc", str(cfg)])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"]["category"] == "invalid-config-or-data"
+    assert "manifest.json" in err["error"]["message"]
+
+
+def test_corrupt_checkpoint_is_reported_as_bad_data(tmp_path, capsys):
+    # a truncated npz is bad input, not an internal error
+    from difftt.checkpoint import load_checkpoint
+    from difftt.cli import _fail
+
+    path = tmp_path / "mt.npz"
+    path.write_bytes(b"PK\x03\x04 truncated")
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    with pytest.raises(SystemExit) as exit_info:
+        _fail(info.value)
+    assert exit_info.value.code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"]["category"] == "invalid-config-or-data"
+    assert "mt.npz" in err["error"]["message"]
+
+
 def test_diverged_training_fails_cleanly(tmp_path):
     # a huge learning rate overflows the weights after one step, and the next
     # gradient is NaN: training stops with its own category, not "internal"

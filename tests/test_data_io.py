@@ -53,3 +53,19 @@ def test_bundle_manifest_version_checked(tmp_path):
     path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="manifest version"):
         read_bundle(tmp_path / "data")
+
+
+@pytest.mark.parametrize("content", ["{truncated", "[1, 2]", '{"manifest_version": 1}', None],
+                         ids=["not-json", "not-object", "missing-keys", "unknown-task-key"])
+def test_corrupt_manifest_is_a_named_value_error(tmp_path, content):
+    bundle = gen_classification_dataset(TaskSpec(), SyntheticLanguageSpec(seed=1),
+                                        sizes=(30, 120, 20), parallel_sizes=(20, 5, 5))
+    write_bundle(bundle, tmp_path / "data")
+    path = tmp_path / "data" / "manifest.json"
+    if content is None:
+        manifest = json.loads(path.read_text())
+        manifest["task"]["colour"] = 1
+        content = json.dumps(manifest)
+    path.write_text(content)
+    with pytest.raises(ValueError, match="manifest.json"):
+        read_bundle(tmp_path / "data")

@@ -138,10 +138,10 @@ def test_finetune_drafts_change_no_float(vocab, rng):
     for use_drafts in (True, False):
         pipe = TranslateTestPipeline(micro_mt(vocab), micro_tc(vocab))
 
-        def task_loss(ids, label, draft=None, pipe=pipe, use_drafts=use_drafts):
+        def task_loss(ids, label, draft=None, pipe=pipe, use_drafts=use_drafts, **kwargs):
             drafts.append(draft)
             return TranslateTestPipeline.task_loss(pipe, ids, label,
-                                                   draft if use_drafts else None)
+                                                   draft if use_drafts else None, **kwargs)
 
         pipe.task_loss = task_loss
         result = pipe.finetune_end_to_end(data, data, cfg)
@@ -153,6 +153,42 @@ def test_finetune_drafts_change_no_float(vocab, rng):
     assert a.best_epoch == b.best_epoch
     for x, y in ((a_mt, b_mt), (a_tc, b_tc)):
         assert all(np.array_equal(x[n], y[n]) for n in x)
+
+
+def test_finetune_refreshes_drafts_with_verified_tokens(vocab, rng, monkeypatch):
+    # every starting draft is wrong in its first token and the weights never
+    # move (lr 0): the first epoch pays for the wrong drafts, every later one
+    # gets each shot's verified tokens as its draft and runs one pass per shot
+    data = [(["t%d" % int(rng.integers(15)) for _ in range(int(rng.integers(1, 5)))],
+             int(rng.integers(3))) for _ in range(6)]
+    cfg = TrainConfig(epochs=3, batch_size=1, lr=0.0, warmup_steps=0, grad_accum=1, seed=1)
+    pipe = TranslateTestPipeline(micro_mt(vocab), micro_tc(vocab))
+    decode = pipe.mt.greedy_decode_batch
+
+    def wrong_drafts(src, keep_probs=False):
+        out = decode(src, keep_probs)
+        if not keep_probs:  # the drafts; evaluation decodes with probabilities
+            for seq in out:
+                seq[0] = (seq[0] + 1) % len(vocab)
+        return out
+
+    passes, per_epoch = [], []
+    forced_pass = MtModel._forced_pass
+
+    def counting_pass(self, *args):
+        passes.append(1)
+        return forced_pass(self, *args)
+
+    def evaluate(data, hard=False):
+        per_epoch.append(len(passes) - sum(per_epoch))
+        return TranslateTestPipeline.evaluate_metric(pipe, data, hard)
+
+    monkeypatch.setattr(pipe.mt, "greedy_decode_batch", wrong_drafts)
+    monkeypatch.setattr(MtModel, "_forced_pass", counting_pass)
+    monkeypatch.setattr(pipe, "evaluate_metric", evaluate)
+    pipe.finetune_end_to_end(data, data, cfg)
+    assert per_epoch[0] >= 2 * len(data)
+    assert per_epoch[1:] == [len(data)] * (cfg.epochs - 1)
 
 
 def test_frozen_parameters_get_no_gradient(vocab, rng):
@@ -252,6 +288,23 @@ def test_load_detects_vocab_tampering(pipeline, tmp_path):
     lines[-1] = "tampered"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="vocabulary hash"):
+        TranslateTestPipeline.load(tmp_path / "pipe")
+
+
+@pytest.mark.parametrize("name, content", [
+    ("pipeline.json", b"{not json"),
+    ("pipeline.json", b"[]"),
+    ("pipeline.json", b'{"format_version": 1}'),
+    ("pipeline.json", b'{"freezing": {"mt_share": 0.5}, "vocab_hash": ""}'),
+    ("mt.npz", None),
+    ("tc.npz", None),
+], ids=["pipeline-not-json", "pipeline-not-object", "pipeline-missing-keys",
+        "pipeline-unknown-policy-key", "mt-truncated", "tc-truncated"])
+def test_load_names_a_corrupt_file(pipeline, tmp_path, name, content):
+    pipeline.save(tmp_path / "pipe")
+    path = tmp_path / "pipe" / name
+    path.write_bytes(path.read_bytes()[:100] if content is None else content)
+    with pytest.raises(ValueError, match=name):
         TranslateTestPipeline.load(tmp_path / "pipe")
 
 

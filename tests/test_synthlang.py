@@ -1,6 +1,9 @@
 """Synthetic cipher languages and tasks: exact oracles, determinism,
 split hygiene, degradation monotonicity."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -50,6 +53,33 @@ def test_noisy_translation_preserves_multiset_of_content(rng):
                 for i in rng.integers(NOISY.n_content_tokens, size=10)]
         out = translate_tokens(sent, NOISY, rng)
         assert sorted(out) == sorted(fwd[t] for t in sent)
+
+
+def translate_tokens_reference(tokens, spec, rng):
+    """The per-draw loop ``translate_tokens`` must match draw for draw."""
+    mapping = spec.bijection()
+    out = [mapping.get(t, t) for t in tokens]
+    for i in range(len(out) - 1):
+        if rng.random() < spec.reorder_prob:
+            out[i], out[i + 1] = out[i + 1], out[i]
+    functions = spec.function_words()
+    for i, t in enumerate(out):
+        if t in functions and rng.random() < spec.noise_rate:
+            out[i] = functions[int(rng.integers(len(functions)))]
+    return out
+
+
+@pytest.mark.parametrize("spec", [CLEAN, NOISY, SyntheticLanguageSpec(seed=4, reorder_prob=1.0),
+                                  degrade_language(SyntheticLanguageSpec(seed=2), 1.0)],
+                         ids=["clean", "noisy", "always-swap", "degraded"])
+def test_translate_tokens_matches_per_draw_loop(spec, rng):
+    inventory = spec.source_content() + spec.function_words() + ["<unk>"]
+    for n in list(range(4)) * 5 + [12] * 40:
+        sent = [inventory[i] for i in rng.integers(len(inventory), size=n)]
+        seed = int(rng.integers(2**31))
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert translate_tokens(sent, spec, ours) == translate_tokens_reference(sent, spec, ref)
+        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def test_degrade_language_monotone():
@@ -146,3 +176,55 @@ def test_multi_class_splits_roughly_balanced():
                                         parallel_sizes=(40, 10, 10))
     counts = np.bincount([l for _, l in bundle.hr_train], minlength=3)
     assert counts.min() >= 25  # round-robin labels
+
+
+def bundle_digest(bundle) -> str:
+    """sha256 of every split's content, in a fixed JSON layout."""
+    splits = {"hr_train": bundle.hr_train, "hr_dev": bundle.hr_dev,
+              "hr_test": bundle.hr_test, "tg_test": bundle.tg_test,
+              "selection_dev": bundle.selection_dev,
+              "few_shot": {str(k): v for k, v in bundle.few_shot.items()},
+              "parallel": {"train": bundle.parallel.train, "dev": bundle.parallel.dev,
+                           "test": bundle.parallel.test}}
+    return hashlib.sha256(json.dumps(splits, sort_keys=True).encode()).hexdigest()
+
+
+SMALL = dict(sizes=(200, 150, 100), parallel_sizes=(300, 50, 50))
+GOLDEN = {
+    # the benchmark's service bundle (perfbench/build_pipeline.py: LANG, TASK,
+    # SIZES, PARALLEL_SIZES), the data its committed pipeline was trained on
+    "service": (TaskSpec(kind="multi_class", n_classes=3),
+                SyntheticLanguageSpec(seed=0, reorder_prob=0.2, noise_rate=0.1),
+                dict(sizes=(5000, 500, 500), parallel_sizes=(5000, 500, 500)),
+                "9449bb060a31eac32e4a39e27831be8215ac02df1379ac9beebbcfa9cf6e42cc"),
+    "multi_label": (TaskSpec(kind="multi_label", n_classes=4, label_prob=0.3),
+                    SyntheticLanguageSpec(seed=3, reorder_prob=0.1, noise_rate=0.2),
+                    dict(SMALL, few_shot_sizes=(10, 50)),
+                    "cf8cf6b34cae977bbd2a18e7392ff5138aee7a3b205ff362c685d0d6a788f612"),
+    "degraded": (TaskSpec(n_classes=4), degrade_language(SyntheticLanguageSpec(seed=5), 0.7),
+                 SMALL, "89bdfb14174d2f8124ba8532ed4ffdbd8749e1ae20a8e94b0a8bd03d1d8ed777"),
+    "clean": (TaskSpec(n_classes=2, markers_per_class=3), SyntheticLanguageSpec(seed=7),
+              SMALL, "fa565da10e2c083802e7f1ec02d1fd205c9dd8d6175808cac2f6069001207287"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_generated_data_matches_golden_digest(name):
+    # any change to what a language generates, or to the order or count of
+    # its random draws, changes these digests
+    task, lang, sizes, digest = GOLDEN[name]
+    assert bundle_digest(gen_classification_dataset(task, lang, **sizes)) == digest
+
+
+def test_mutating_a_returned_bijection_changes_nothing():
+    task, lang, sizes, digest = GOLDEN["degraded"]
+    fwd, inv = lang.bijection(), lang.inverse_bijection()
+    expected_fwd, expected_inv = dict(fwd), dict(inv)
+    for table in (fwd, inv):
+        for key in list(table)[:30]:
+            table[key] = "tampered"
+        table["w000"] = table["z000"] = "f00"
+    fwd.clear()
+    assert lang.bijection() == expected_fwd
+    assert lang.inverse_bijection() == expected_inv
+    assert bundle_digest(gen_classification_dataset(task, lang, **sizes)) == digest
