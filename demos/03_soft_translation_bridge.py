@@ -13,7 +13,7 @@ Run: python3 demos/03_soft_translation_bridge.py
 import numpy as np
 
 from difftt import autodiff as ad
-from difftt.bridge import bridge_sequence
+from difftt.bridge import expected_embedding
 from difftt.mt import MtConfig, MtModel
 from difftt.pipeline import FreezingPolicy, TranslateTestPipeline
 from difftt.tc import TcConfig, TcModel
@@ -34,12 +34,14 @@ def main():
     print(f"per-step max probability: {np.round(st.probs.data.max(axis=1), 3)}")
     print(f"rows sum to one: {np.allclose(st.probs.data.sum(axis=1), 1.0, atol=1e-12)}")
 
-    seq = bridge_sequence(st, tc)
-    print(f"bridged embeddings: shape {seq.embeddings.data.shape} "
+    bridged = expected_embedding(st.probs, tc.emb.tensor)
+    print(f"bridged embeddings: shape {bridged.data.shape} "
           f"(convex combinations of the classifier's embedding rows)")
 
+    # logits_soft bridges a (B, M, V) batch and runs the classifier on it;
     # gradient flows through the bridge into the translator
-    loss = ad.cross_entropy(tc.logits_soft(seq), np.asarray([2]))
+    probs = ad.reshape(st.probs, (1, len(st), len(vocab)))
+    loss = ad.cross_entropy(tc.logits_soft(probs, np.asarray([len(st)])), np.asarray([2]))
     loss.backward()
     g = mt.out_proj[0].grad
     print(f"translator output-projection gradient norm: {np.linalg.norm(g):.4f}")

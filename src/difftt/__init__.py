@@ -9,7 +9,7 @@ protocols with exact oracles.
 """
 
 from .autodiff import Tensor, no_grad
-from .bridge import ExpectedEmbeddingSequence, bridge_sequence, expected_embedding
+from .bridge import expected_embedding
 from .gradcheck import finite_difference_check
 from .metrics import accuracy, corpus_bleu, mean_r_precision, r_precision
 from .mt import MtConfig, MtModel, SoftTranslation, TrainConfig, train_mt

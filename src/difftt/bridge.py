@@ -8,13 +8,10 @@ translator) and into E.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .mt import SoftTranslation
 
 SIMPLEX_TOL = 1e-9
 
@@ -28,16 +25,8 @@ def _check_simplex(p: np.ndarray):
         )
 
 
-@dataclass
-class ExpectedEmbeddingSequence:
-    """The bridge output: one expected embedding per translation step."""
-    embeddings: Tensor          # (m, d)
-    source: SoftTranslation
-    length: int
-
-
 def expected_embedding(p: Tensor, emb_matrix: Tensor) -> Tensor:
-    """p (V,) on the simplex, emb_matrix (V, d) -> p @ E, exactly."""
+    """p (..., V), each row on the simplex, emb_matrix (V, d) -> p @ E, exactly."""
     if p.data.shape[-1] != emb_matrix.data.shape[0]:
         raise ShapeError(
             f"expected_embedding: distribution {p.data.shape} does not match "
@@ -45,9 +34,3 @@ def expected_embedding(p: Tensor, emb_matrix: Tensor) -> Tensor:
         )
     _check_simplex(p.data)
     return ad.matmul(p, emb_matrix)
-
-
-def bridge_sequence(st: SoftTranslation, tc_model) -> ExpectedEmbeddingSequence:
-    """Apply the expected-embedding map to every step of a soft translation."""
-    emb = expected_embedding(st.probs, tc_model.emb.tensor)
-    return ExpectedEmbeddingSequence(embeddings=emb, source=st, length=len(st))

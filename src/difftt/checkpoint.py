@@ -56,3 +56,20 @@ def load_checkpoint(path):
             return values, frozen, meta["extra"]
     except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
         raise ValueError(f"cannot load checkpoint {path}: {exc}") from exc
+
+
+def load_model(path, model_cls, config_cls, vocab):
+    """A ``model_cls`` rebuilt from the checkpoint at ``path``: its stored
+    ``config_cls`` fields, parameter values and frozen flags. A stored config
+    the class rejects (an unknown key, a bad value) raises ``ValueError``
+    naming the file."""
+    values, frozen, meta = load_checkpoint(path)
+    try:
+        model = model_cls(vocab, config_cls(**meta["config"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path} holds no valid {config_cls.__name__}: "
+                         f"{exc!r}") from exc
+    model.store.load_state(values)
+    for name, fz in frozen.items():
+        model.store[name].frozen = fz
+    return model

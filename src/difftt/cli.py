@@ -121,7 +121,8 @@ def finetune_cmd(config_path, budget, seed):
         data_dir = Path(config.out_dir) / "data"
         bundle = read_bundle(data_dir) if data_dir.exists() else generate_bundle(config)
         if budget not in bundle.few_shot:
-            raise KeyError(f"no few-shot pool of size {budget} in the dataset")
+            raise ValueError(f"budget {budget} has no few-shot pool; finetune takes one of "
+                             f"the pool sizes {sorted(bundle.few_shot)}")
         vocab = shared_vocabulary(bundle.lang)
         seed = config.seeds[0] if seed is None else seed
         mt, _ = train_mt_component(config, bundle, vocab, seed)

@@ -56,16 +56,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        data = json.loads(text)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ExperimentConfig":
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        return cls.from_json(Path(path).read_text())
+        """The config in the JSON file ``path``; a malformed file raises
+        ``ValueError`` naming it."""
+        return cls.from_dict(read_json(path))
 
     # ---- derived objects -------------------------------------------------
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .checkpoint import save_checkpoint, load_checkpoint
+from .checkpoint import load_model, save_checkpoint
 from .layers import (DecoderLayer, EncoderLayer, KVCache, append_along, causal_attention_mask,
                      pad_attention_mask)
 from .optim import FitResult, fit
@@ -292,12 +292,7 @@ class MtModel:
 
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "MtModel":
-        values, frozen, meta = load_checkpoint(path)
-        model = cls(vocab, MtConfig(**meta["config"]))
-        model.store.load_state(values)
-        for name, fz in frozen.items():
-            model.store[name].frozen = fz
-        return model
+        return load_model(path, cls, MtConfig, vocab)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .bridge import bridge_sequence
 from .data_io import read_json
 from .metrics import score
 from .mt import MtModel, TrainConfig, _pad_batch
 from .optim import FitResult, fit
-from .tc import Prediction, TcModel, labels_to_matrix, train_tc
+from .tc import Prediction, TcConfig, TcModel, labels_to_matrix, train_tc
 from .vocab import Vocabulary, assert_alignment
 
 
@@ -37,6 +36,10 @@ class TranslateTestPipeline:
     def __init__(self, mt: MtModel, tc: TcModel,
                  freezing: FreezingPolicy | None = None):
         assert_alignment(mt.vocab, tc.vocab)
+        if tc.config.max_len - 1 < mt.config.max_decode_len:
+            raise ValueError(f"classifier max_len {tc.config.max_len} leaves "
+                             f"{tc.config.max_len - 1} steps after CLS, fewer than the "
+                             f"translator's max_decode_len {mt.config.max_decode_len}")
         self.mt = mt
         self.tc = tc
         self.vocab: Vocabulary = mt.vocab
@@ -101,8 +104,8 @@ class TranslateTestPipeline:
         its gradients. With ``return_tokens`` the result is ``(loss,
         tokens)``, the tokens being the verified greedy translation."""
         st = self.mt.soft_decode(list(target_ids), draft)
-        seq = bridge_sequence(st, self.tc)
-        logits = self.tc.logits_soft(seq)
+        probs = ad.reshape(st.probs, (1, len(st), len(self.vocab)))
+        logits = self.tc.logits_soft(probs, np.asarray([len(st)]))
         if self.tc.config.multi_label:
             loss = ad.binary_cross_entropy_per_label(
                 logits, labels_to_matrix([label], self.tc.config.n_classes))
@@ -257,8 +260,6 @@ def translate_and_train(reverse_mt: MtModel, bundle, tc_seed: int = 0,
     language and train a dedicated target-language classifier (one per task
     and language). Supports the same few-shot fine-tuning on real
     target-language samples."""
-    from .tc import TcConfig
-
     tt_train = translate_corpus(reverse_mt, bundle.hr_train)
     tt_dev = translate_corpus(reverse_mt, bundle.hr_dev)
     model = TcModel(reverse_mt.vocab, tc_config or TcConfig(

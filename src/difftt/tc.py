@@ -3,9 +3,9 @@
 An encoder-only transformer: embedding lookup (or externally provided
 expected embeddings), learned positions, encoder stack, masked mean pooling
 and a linear head. Supports a multi-class softmax head or a multi-label
-per-label sigmoid head. The soft input path is computationally identical to
-the token path except that the embedding lookup is replaced by the provided
-vectors, so one-hot inputs reproduce the token path bitwise.
+per-label sigmoid head. Token ids and soft translations take the same
+encoder pass; the soft path only replaces the embedding lookup by the
+expected embeddings p @ E, so one-hot inputs reproduce the token path bitwise.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import autodiff as ad
+from . import bridge
 from .autodiff import Tensor, no_grad
-from .bridge import ExpectedEmbeddingSequence
-from .checkpoint import save_checkpoint, load_checkpoint
+from .checkpoint import load_model, save_checkpoint
 from .layers import EncoderLayer
 from .metrics import score
+from .mt import TrainConfig, _pad_batch
 from .optim import FitResult, fit
 from .params import ParamStore
 from .vocab import Vocabulary
@@ -77,12 +78,18 @@ class TcModel:
     # forward passes
     # ------------------------------------------------------------------
 
-    def _forward_embedded(self, x: Tensor, valid: np.ndarray) -> Tensor:
-        """x: (B, T, d) already embedded (CLS row first); valid: (B, T) 0/1."""
-        t = x.shape[1]
+    def _forward_embedded(self, body: Tensor, lengths: np.ndarray) -> Tensor:
+        """The one encoder pass of every input path. body: (B, T, d) input
+        embeddings without CLS; lengths: (B,) valid steps per row. Prepends
+        the CLS embedding, adds positions and masks each row past CLS plus
+        its length."""
+        b, t = body.shape[0], body.shape[1] + 1
         if t > self.config.max_len:
-            raise ValueError(f"sequence length {t} exceeds max {self.config.max_len}")
-        x = ad.add(x, ad.embedding(self.pos.tensor, np.arange(t)))
+            raise ValueError(f"input of {t - 1} steps plus CLS exceeds max_len "
+                             f"{self.config.max_len}")
+        cls = ad.embedding(self.emb.tensor, np.full((b, 1), self.vocab.cls_id))
+        x = ad.add(ad.concat([cls, body], axis=1), ad.embedding(self.pos.tensor, np.arange(t)))
+        valid = (np.arange(t)[None, :] < (np.asarray(lengths) + 1)[:, None]).astype(np.float64)
         mask = np.where(valid[:, None, None, :].astype(bool), 0.0, -1e9)
         for layer in self.enc_layers:
             x = layer(x, mask)
@@ -91,13 +98,15 @@ class TcModel:
         return ad.affine(pooled, self.head[0].tensor, self.head[1].tensor)
 
     def logits_tokens(self, ids: np.ndarray, lengths: np.ndarray) -> Tensor:
-        """Batched token-path logits. ids: (B, T) padded, CLS not yet prepended."""
-        b = ids.shape[0]
-        cls_col = np.full((b, 1), self.vocab.cls_id, dtype=np.int64)
-        full = np.concatenate([cls_col, ids], axis=1)
-        valid = (np.arange(full.shape[1])[None, :] < (lengths + 1)[:, None]).astype(np.float64)
-        x = ad.embedding(self.emb.tensor, full)
-        return self._forward_embedded(x, valid)
+        """Batched token-path logits. ids: (B, T) PAD-padded, CLS not prepended."""
+        return self._forward_embedded(ad.embedding(self.emb.tensor, ids), lengths)
+
+    def logits_soft(self, probs: Tensor, lengths: np.ndarray) -> Tensor:
+        """Batched, differentiable soft-path logits. probs: (B, M, V) step
+        distributions, PAD one-hot rows past each row's length; the expected
+        embeddings probs @ E take the place of the token lookup."""
+        return self._forward_embedded(bridge.expected_embedding(probs, self.emb.tensor),
+                                      lengths)
 
     def classify_tokens(self, ids) -> Prediction:
         """Classify one token-id sequence (the baseline/hard path)."""
@@ -106,52 +115,20 @@ class TcModel:
             raise ValueError("empty input sequence")
         if any(i < 0 or i >= len(self.vocab) for i in ids):
             raise ValueError("token id out of vocabulary range")
-        ids = ids[: self.config.max_len - 1]
-        with no_grad():
-            logits = self.logits_tokens(np.asarray([ids]), np.asarray([len(ids)]))
-        return self._predictions(logits.data)[0]
-
-    def logits_soft(self, seq: ExpectedEmbeddingSequence) -> Tensor:
-        """Differentiable logits from one expected-embedding sequence."""
-        if seq.embeddings.data.shape[-1] != self.config.d_model:
-            raise ad.ShapeError(
-                f"classify_soft: embedding width {seq.embeddings.data.shape} does not "
-                f"match model width {self.config.d_model}"
-            )
-        m = min(seq.length, self.config.max_len - 1)
-        body = ad.reshape(seq.embeddings, (1, seq.length, self.config.d_model))
-        if m < seq.length:
-            body = _slice_time(body, m)
-        cls_row = ad.embedding(self.emb.tensor, np.asarray([[self.vocab.cls_id]]))
-        x = ad.concat([cls_row, body], axis=1)
-        valid = np.ones((1, m + 1))
-        return self._forward_embedded(x, valid)
-
-    def classify_soft(self, seq: ExpectedEmbeddingSequence) -> Prediction:
-        logits = self.logits_soft(seq)
-        return self._predictions(logits.data)[0]
-
-    def classify_soft_values(self, probs: np.ndarray, lengths: np.ndarray) -> list[Prediction]:
-        """Batched gradient-free soft path: probs (B, M, V) padded with PAD one-hots."""
-        b, m, _ = probs.shape
-        m = min(m, self.config.max_len - 1)
-        probs = probs[:, :m, :]
-        lengths = np.minimum(lengths, m)
-        with no_grad():
-            body = probs @ self.emb.data
-            cls = self.emb.data[self.vocab.cls_id][None, None, :]
-            x = Tensor(np.concatenate([np.broadcast_to(cls, (b, 1, cls.shape[-1])), body], axis=1))
-            valid = (np.arange(m + 1)[None, :] < (lengths + 1)[:, None]).astype(np.float64)
-            logits = self._forward_embedded(x, valid)
-        return self._predictions(logits.data)
+        return self.classify_tokens_batch([ids])[0]
 
     def classify_tokens_batch(self, seqs: list[list[int]]) -> list[Prediction]:
-        lengths = np.asarray([min(len(s), self.config.max_len - 1) for s in seqs])
-        ids = np.full((len(seqs), int(lengths.max())), self.vocab.pad_id, dtype=np.int64)
-        for i, s in enumerate(seqs):
-            ids[i, :lengths[i]] = s[:lengths[i]]
+        """Token-path predictions; each sequence is cut to max_len - 1 tokens."""
+        seqs = [s[: self.config.max_len - 1] for s in seqs]
         with no_grad():
-            logits = self.logits_tokens(ids, lengths)
+            logits = self.logits_tokens(_pad_batch(seqs, self.vocab.pad_id),
+                                        np.asarray([len(s) for s in seqs]))
+        return self._predictions(logits.data)
+
+    def classify_soft_values(self, probs: np.ndarray, lengths: np.ndarray) -> list[Prediction]:
+        """Gradient-free `logits_soft` predictions for evaluation."""
+        with no_grad():
+            logits = self.logits_soft(Tensor(probs), lengths)
         return self._predictions(logits.data)
 
     def _predictions(self, logits: np.ndarray) -> list[Prediction]:
@@ -180,23 +157,7 @@ class TcModel:
 
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "TcModel":
-        values, frozen, meta = load_checkpoint(path)
-        model = cls(vocab, TcConfig(**meta["config"]))
-        model.store.load_state(values)
-        for name, fz in frozen.items():
-            model.store[name].frozen = fz
-        return model
-
-
-def _slice_time(x: Tensor, m: int) -> Tensor:
-    """Keep the first m time steps of a (B, T, d) tensor on the tape."""
-
-    def backward(g):
-        full = np.zeros_like(x.data)
-        full[:, :m, :] = g
-        ad._accum(x, full)
-
-    return ad._make(x.data[:, :m, :], (x,), backward)
+        return load_model(path, cls, TcConfig, vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +184,6 @@ def train_tc(model: TcModel, train_data, dev_data, config=None,
     multi-label heads. Checkpoint selection uses validation accuracy or mean
     R-Precision according to the head kind.
     """
-    from .mt import TrainConfig
-
     cfg = config or TrainConfig(lr=3e-6)
     vocab = model.vocab
     multi_label = model.config.multi_label
@@ -241,11 +200,8 @@ def train_tc(model: TcModel, train_data, dev_data, config=None,
 
     def batch_loss(idx):
         seqs = [enc[i] for i in idx]
-        lengths = np.asarray([len(s) for s in seqs])
-        ids = np.full((len(seqs), max(int(lengths.max()), 1)), vocab.pad_id, dtype=np.int64)
-        for i, s in enumerate(seqs):
-            ids[i, :len(s)] = s
-        logits = model.logits_tokens(ids, lengths)
+        logits = model.logits_tokens(_pad_batch(seqs, vocab.pad_id),
+                                     np.asarray([len(s) for s in seqs]))
         if multi_label:
             return ad.binary_cross_entropy_per_label(logits, targets[idx])
         return ad.cross_entropy(logits, targets[idx])

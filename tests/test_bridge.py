@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from difftt import autodiff as ad
 from difftt.autodiff import ShapeError, Tensor
-from difftt.bridge import (ExpectedEmbeddingSequence, bridge_sequence,
-                           expected_embedding)
-from difftt.mt import SoftTranslation
+from difftt.bridge import expected_embedding
 
 from conftest import micro_tc, micro_vocab
 
@@ -94,17 +92,18 @@ def test_gradients_flow_into_both_inputs(rng):
     assert np.allclose(p.grad, np.tile(emb.data.sum(axis=1), (2, 1)), atol=1e-12)
 
 
-def test_bridge_sequence_uses_classifier_embeddings(rng):
+def test_logits_soft_bridges_through_classifier_embeddings(rng):
     vocab = micro_vocab()
     tc = micro_tc(vocab)
-    v, d = len(vocab), tc.config.d_model
-    probs = Tensor(random_simplex(rng, (3, v)))
-    st_ = SoftTranslation(probs=probs, tokens=np.asarray([5, 6, 2]))
-    seq = bridge_sequence(st_, tc)
-    assert isinstance(seq, ExpectedEmbeddingSequence)
-    assert seq.length == 3
-    assert seq.embeddings.data.shape == (3, d)
-    assert np.allclose(seq.embeddings.data, probs.data @ tc.emb.data, atol=1e-15)
+    v = len(vocab)
+    probs = Tensor(random_simplex(rng, (1, 3, v)), requires_grad=True)
+    logits = tc.logits_soft(probs, np.asarray([3]))
+    # the encoder input is p @ E with E the classifier's own embedding matrix
+    body = Tensor(probs.data @ tc.emb.data)
+    assert np.array_equal(logits.data, tc._forward_embedded(body, np.asarray([3])).data)
+    ad.sum_all(logits).backward()
+    assert probs.grad.shape == (1, 3, v)
+    assert tc.emb.grad is not None and np.any(tc.emb.grad != 0)
 
 
 @settings(deadline=None, max_examples=200)

@@ -1,10 +1,16 @@
 """Checkpoint file round-trips, including frozen flags."""
 
+import json
+
 import numpy as np
 import pytest
 
 from difftt.checkpoint import load_checkpoint, save_checkpoint
+from difftt.mt import MtModel
 from difftt.params import Parameter, ParamStore
+from difftt.tc import TcModel
+
+from conftest import micro_vocab
 
 
 def test_parameter_roundtrip(tmp_path, rng):
@@ -54,3 +60,19 @@ def test_param_store_load_state_rejects_bad_states(rng):
         store.load_state({**state, "lin.x": np.zeros(1), "extra": np.zeros(2)})
     # a rejected state changes nothing
     assert all(np.array_equal(store[n].data, v) for n, v in state.items())
+
+
+@pytest.mark.parametrize("model_cls", [MtModel, TcModel], ids=["mt", "tc"])
+def test_unknown_config_key_is_a_named_value_error(tmp_path, model_cls):
+    vocab = micro_vocab()
+    path = tmp_path / "model.npz"
+    model_cls(vocab).save(path)
+    with np.load(path) as z:
+        arrays = dict(z)
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    meta["extra"]["config"]["colour"] = "blue"
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
+    with pytest.raises(ValueError, match="model.npz .*colour"):
+        model_cls.load(path, vocab)

@@ -79,6 +79,43 @@ def test_invalid_config_fails_cleanly(tmp_path):
     assert err["error"]["category"] == "invalid-config-or-data"
 
 
+def test_malformed_config_names_the_file(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"name": "x",}')
+    result = CliRunner().invoke(main, ["evaluate", str(path)])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"]["category"] == "invalid-config-or-data"
+    assert "bad.json" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("budget", ["5", "0"])
+def test_finetune_with_no_pool_of_that_size_fails_cleanly(tmp_path, budget):
+    cfg = write_config(tmp_path)
+    runner = CliRunner()
+    assert runner.invoke(main, ["gen-data", str(cfg)]).exit_code == 0
+    result = runner.invoke(main, ["finetune", str(cfg), "-k", budget])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"]["category"] == "invalid-config-or-data"
+    assert "pool sizes [10, 100]" in err["error"]["message"]
+
+
+def test_finetune_saves_a_loadable_pipeline(tmp_path):
+    from difftt.pipeline import TranslateTestPipeline
+
+    cfg = write_config(tmp_path)
+    runner = CliRunner()
+    assert runner.invoke(main, ["gen-data", str(cfg)]).exit_code == 0
+    result = runner.invoke(main, ["finetune", str(cfg), "-k", "10"])
+    assert result.exit_code == 0, result.output
+    summary = json.loads(result.output)
+    assert summary["saved"].endswith("pipeline_k10_seed1")
+    assert len(summary["val_metric"]) == 1
+    pipe = TranslateTestPipeline.load(summary["saved"])
+    assert len(pipe.predict_batch([[5, 6, 7]])) == 1
+
+
 def test_corrupt_manifest_fails_cleanly(tmp_path):
     cfg = write_config(tmp_path)
     runner = CliRunner()

@@ -32,6 +32,13 @@ def test_vocabulary_alignment_enforced(vocab):
         TranslateTestPipeline(micro_mt(vocab), micro_tc(other))
 
 
+def test_classifier_too_short_for_the_translator_rejected(vocab):
+    # every soft translation must fit the classifier after its CLS position
+    TranslateTestPipeline(micro_mt(vocab, max_decode_len=6), micro_tc(vocab, max_len=7))
+    with pytest.raises(ValueError, match="max_len 7 .*max_decode_len 7"):
+        TranslateTestPipeline(micro_mt(vocab, max_decode_len=7), micro_tc(vocab, max_len=7))
+
+
 def test_default_freezing_layout(pipeline):
     mt, tc = pipeline.mt, pipeline.tc
     # translator: embeddings + lowest half of [enc0, enc1, dec0, dec1]

@@ -1,12 +1,14 @@
-"""Classifier behavior: token/soft path equivalence, ranking determinism,
-head permutation symmetry, and a separable learning task."""
+"""Classifier behavior: token/soft path equivalence, batched against per-row
+results under padding, ranking determinism, head permutation symmetry, and a
+separable learning task."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from difftt import autodiff as ad
 from difftt.autodiff import Tensor
-from difftt.bridge import ExpectedEmbeddingSequence
 from difftt.mt import TrainConfig
 from difftt.tc import (Prediction, TcConfig, TcModel, labels_to_matrix,
                        rank_labels, train_tc)
@@ -46,54 +48,76 @@ def test_one_hot_soft_equals_token_path_bitwise(model, vocab, rng):
         n = int(rng.integers(1, model.config.max_len))
         ids = [int(i) for i in rng.integers(5, v, size=n)]
         hard = model.classify_tokens(ids)
-        probs = onehot_rows(ids, v)
-        seq = ExpectedEmbeddingSequence(
-            embeddings=ad.matmul(Tensor(probs), model.emb.tensor),
-            source=None, length=len(ids))
-        soft = model.classify_soft(seq)
+        soft = model.classify_soft_values(onehot_rows(ids, v)[None], np.asarray([n]))[0]
         assert np.array_equal(hard.logits, soft.logits)
         assert hard.label == soft.label
 
 
-def test_soft_path_truncates_long_sequences(model, vocab, rng):
+def test_over_long_soft_input_raises(model, vocab, rng):
+    # the token path cuts an over-long sequence to max_len - 1 tokens; a soft
+    # input is never cut, so one that does not fit after CLS is an error
     v = len(vocab)
     ids = [int(i) for i in rng.integers(5, v, size=model.config.max_len + 3)]
-    hard = model.classify_tokens(ids)  # truncates internally
-    seq = ExpectedEmbeddingSequence(
-        embeddings=ad.matmul(Tensor(onehot_rows(ids, v)), model.emb.tensor),
-        source=None, length=len(ids))
-    soft = model.classify_soft(seq)
+    hard = model.classify_tokens(ids)
+    cut = ids[: model.config.max_len - 1]
+    soft = model.classify_soft_values(onehot_rows(cut, v)[None], np.asarray([len(cut)]))[0]
     assert np.array_equal(hard.logits, soft.logits)
+    longer = onehot_rows(ids[: model.config.max_len], v)[None]
+    with pytest.raises(ValueError, match="exceeds max_len"):
+        model.logits_soft(Tensor(longer), np.asarray([model.config.max_len]))
 
 
-def test_batched_token_path_matches_single(model, vocab, rng):
-    v = len(vocab)
-    seqs = [[int(i) for i in rng.integers(5, v, size=int(rng.integers(1, 6)))]
-            for _ in range(8)]
-    batched = model.classify_tokens_batch(seqs)
-    for s, got in zip(seqs, batched):
-        single = model.classify_tokens(s)
-        # padding changes summation order, so equality is only to rounding
-        assert np.allclose(got.logits, single.logits, atol=1e-12)
+def soft_logits_and_grads(model, probs, lengths, weights):
+    """Logits of ``logits_soft`` and the gradients of sum(weights * logits)
+    into the probabilities and the embedding matrix."""
+    model.store.zero_grad()
+    p = Tensor(probs, requires_grad=True)
+    logits = model.logits_soft(p, lengths)
+    ad.sum_all(ad.mul(logits, Tensor(weights))).backward()
+    return logits.data, p.grad, model.emb.grad
 
 
-def test_classify_soft_values_matches_classify_soft(model, vocab, rng):
-    v = len(vocab)
-    seqs = [[int(i) for i in rng.integers(5, v, size=int(rng.integers(1, 6)))]
-            for _ in range(6)]
-    m = max(len(s) for s in seqs)
-    probs = np.zeros((len(seqs), m, v))
-    for i, s in enumerate(seqs):
-        probs[i, :len(s)] = onehot_rows(s, v)
-        probs[i, len(s):, vocab.pad_id] = 1.0
-    lengths = np.asarray([len(s) for s in seqs])
-    batched = model.classify_soft_values(probs, lengths)
-    for s, got in zip(seqs, batched):
-        seq = ExpectedEmbeddingSequence(
-            embeddings=ad.matmul(Tensor(onehot_rows(s, v)), model.emb.tensor),
-            source=None, length=len(s))
-        single = model.classify_soft(seq)
-        assert np.allclose(got.logits, single.logits, atol=1e-12)
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10_000), st.integers(0, 4), st.integers(1, 6), st.booleans())
+def test_padded_logits_soft_matches_per_row_with_gradients(seed, model_seed, b, multi_label):
+    # padding changes summation order, so equality is only to rounding
+    vocab = micro_vocab()
+    model = micro_tc(vocab, seed=model_seed, multi_label=multi_label)
+    rng = np.random.default_rng(seed)
+    v, c = len(vocab), model.config.n_classes
+    lengths = rng.integers(1, model.config.max_len, size=b)
+    probs = rng.random((b, int(lengths.max()), v)) ** 4
+    probs /= probs.sum(axis=-1, keepdims=True)
+    for i, n in enumerate(lengths):
+        probs[i, n:] = onehot_rows([vocab.pad_id] * (probs.shape[1] - n), v)
+    weights = rng.normal(size=(b, c))
+    logits, p_grad, e_grad = soft_logits_and_grads(model, probs, lengths, weights)
+    # the gradient-free evaluation path is the same pass
+    for pred, row in zip(model.classify_soft_values(probs, lengths), logits):
+        assert np.array_equal(pred.logits, row)
+    e_grad_rows = np.zeros_like(e_grad)
+    for i, n in enumerate(lengths):
+        row, row_p_grad, row_e_grad = soft_logits_and_grads(
+            model, probs[i:i + 1, :n], lengths[i:i + 1], weights[i:i + 1])
+        assert np.allclose(logits[i], row[0], rtol=0, atol=1e-12)
+        assert np.allclose(p_grad[i, :n], row_p_grad[0], rtol=0, atol=1e-12)
+        assert np.allclose(p_grad[i, n:], 0.0, rtol=0, atol=1e-12)
+        e_grad_rows += row_e_grad
+    assert np.allclose(e_grad, e_grad_rows, rtol=0, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10_000), st.integers(0, 4), st.integers(1, 8))
+def test_batched_token_path_matches_single(seed, model_seed, b):
+    # lengths reach past max_len - 1, so the cut is exercised too; padding
+    # changes summation order, so equality is only to rounding
+    vocab = micro_vocab()
+    model = micro_tc(vocab, seed=model_seed)
+    rng = np.random.default_rng(seed)
+    seqs = [[int(i) for i in rng.integers(5, len(vocab), size=int(n))]
+            for n in rng.integers(1, model.config.max_len + 3, size=b)]
+    for s, got in zip(seqs, model.classify_tokens_batch(seqs)):
+        assert np.allclose(got.logits, model.classify_tokens(s).logits, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("multi_label,n_classes", [(False, 3), (False, 17), (True, 5)])
