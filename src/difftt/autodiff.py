@@ -3,16 +3,52 @@
 A small tape-based engine: every differentiable op returns a new Tensor that
 remembers its parents and a closure that routes the incoming gradient back to
 them. Calling ``backward()`` on a scalar loss walks the tape in reverse
-topological order. Everything is double precision so finite-difference checks
-are meaningful.
+topological order and releases it as it goes. Everything is double precision
+so finite-difference checks are meaningful.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 
 import numpy as np
 from scipy.special import erf
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters (malloc.h)
+
+
+def _keep_freed_heap_pages() -> bool:
+    """Tell glibc's malloc to keep freed heap pages for the next allocation.
+
+    A backward pass frees its tape and the next batch allocates one of the
+    same size. By default glibc serves arrays above a threshold that starts
+    at 128 KiB with mmap, and returns the freed top of the heap to the
+    system, so each batch faults those pages back in (hundreds of thousands
+    of minor faults per training job once the tape is released). Arrays up
+    to 32 MiB (glibc's largest mmap threshold) go on the heap, and up to
+    128 MiB of free heap top (more than one training batch's tape) stays
+    mapped. Both are set because setting either one ends glibc's dynamic
+    threshold. Returns whether they were set: not off glibc, and not when
+    the environment already tunes malloc through ``GLIBC_TUNABLES`` or a
+    ``MALLOC_*_`` variable.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc's name
+        return False
+    if not libc.startswith("glibc") or any(
+            k == "GLIBC_TUNABLES" or (k.startswith("MALLOC_") and k.endswith("_"))
+            for k in os.environ):
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20) and mallopt(_M_TRIM_THRESHOLD, 128 << 20))
+
+
+_keep_freed_heap_pages()
 
 
 class ShapeError(ValueError):
@@ -44,7 +80,7 @@ def grad_enabled() -> bool:
 class Tensor:
     """A dense float64 array plus optional gradient and tape linkage."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -67,7 +103,17 @@ class Tensor:
         self.grad = None
 
     def backward(self, grad=None):
-        """Reverse-mode pass from this tensor (typically a scalar loss)."""
+        """Reverse-mode pass from this tensor (typically a scalar loss).
+
+        Leaves (tensors created with ``requires_grad``, such as parameters)
+        accumulate into ``.grad`` across calls. The graph is released as the
+        walk goes: once an op output has passed its gradient to its parents,
+        its ``.grad``, parents and backward closure are dropped, so each
+        intermediate array is freed as soon as nothing else holds it and an
+        op output's ``.grad`` is None afterwards. A graph is therefore
+        backpropagated once: a second ``backward`` through any node of it
+        raises ``RuntimeError``.
+        """
         if grad is None:
             grad = np.ones_like(self.data)
         topo = []
@@ -86,16 +132,29 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         _accum(self, np.array(grad, dtype=np.float64))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()  # reverse topological order; drops the walk's reference
+            if node._backward is None:  # a leaf or a constant
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._parents = ()
+            node._backward = _released
+
+
+def _released(g):
+    raise RuntimeError("backward through a graph that was already backpropagated: "
+                       "its intermediate gradients were freed; build the graph again")
 
 
 def _accum(t: Tensor, g: np.ndarray):
     """Add ``g`` into ``t.grad``. A first gradient is stored as is, not
     copied, so it may share memory with other gradients or be a view. That is
     safe because no code writes into a ``.grad`` in place: every update
-    (accumulation, averaging, clipping) assigns a new array."""
+    (accumulation, averaging, clipping) assigns a new array. An op output's
+    ``.grad`` lives only until ``Tensor.backward`` has passed it on; a
+    leaf's accumulates until ``zero_grad``."""
     if not t.requires_grad:
         return
     if t.grad is None:

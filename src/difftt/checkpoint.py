@@ -40,7 +40,9 @@ def load_checkpoint(path):
     metadata record) raises ``ValueError`` naming it."""
     path = Path(path)
     try:
-        with np.load(path) as z:
+        # numpy does not close a file it opened itself when the archive is
+        # truncated, so the handle is ours to close
+        with open(path, "rb") as f, np.load(f) as z:
             meta = json.loads(bytes(z["__meta__"]).decode())
             version = meta.get("format_version") if isinstance(meta, dict) else None
             if version != FORMAT_VERSION:

@@ -18,8 +18,6 @@ import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-from scipy import stats
-
 from .data_io import read_bundle, read_json, write_bundle
 from .metrics import score
 from .mt import MtConfig, MtModel, TrainConfig, evaluate_bleu, train_mt
@@ -29,6 +27,12 @@ from .synthlang import (DatasetBundle, SyntheticLanguageSpec, TaskSpec,
                         degrade_language, gen_classification_dataset)
 from .tc import TcConfig, TcModel, train_tc
 from .vocab import Vocabulary, build_shared_vocab
+
+
+# the class each override section of ExperimentConfig is passed to
+_SECTIONS = {"task": TaskSpec, "lang": SyntheticLanguageSpec, "mt_model": MtConfig,
+             "tc_model": TcConfig, "freezing": FreezingPolicy, "mt_train": TrainConfig,
+             "tc_train": TrainConfig, "finetune": TrainConfig}
 
 
 @dataclass
@@ -60,16 +64,32 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """A config from plain data; an unknown key, at the top level or in an
+        override section, raises ``ValueError``."""
         unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for section, target in _SECTIONS.items():
+            overrides = data.get(section, {})
+            if not isinstance(overrides, dict):
+                raise ValueError(f"config section {section!r} must be an object, "
+                                 f"got {type(overrides).__name__}")
+            known = {f.name for f in dataclasses.fields(target)}
+            unknown = set(overrides) - known
+            if unknown:
+                raise ValueError(f"unknown keys in config section {section!r}: "
+                                 f"{sorted(unknown)}; {target.__name__} takes {sorted(known)}")
         return cls(**data)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        """The config in the JSON file ``path``; a malformed file raises
-        ``ValueError`` naming it."""
-        return cls.from_dict(read_json(path))
+        """The config in the JSON file ``path``; a malformed file or an
+        unknown key raises ``ValueError`` naming it."""
+        data = read_json(path)
+        try:
+            return cls.from_dict(data)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     # ---- derived objects -------------------------------------------------
 
@@ -371,6 +391,8 @@ def cmd_sweep_bleu(config: ExperimentConfig, bundle: DatasetBundle | None = None
                                          config.train_config("finetune", seed))
             entry[f"metric_k{budget}"] = pipe.evaluate_metric(bundle.tg_test)
         series.append(entry)
+
+    from scipy import stats  # about 45 MB resident and most of a second to import
 
     out = {"severity": severity, "budgets": budgets, "series": series,
            "spearman": {}}

@@ -348,6 +348,20 @@ def test_no_grad_suppresses_tape():
     assert y2.requires_grad
 
 
+def test_backward_releases_op_outputs_and_runs_once():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    h = ad.scale(x, 2.0)
+    ad.sum_all(ad.mul(h, h)).backward()
+    assert np.array_equal(x.grad, 8.0 * x.data)
+    assert h.grad is None and h._parents == ()
+    # a new graph that reaches a released op output cannot backpropagate
+    with pytest.raises(RuntimeError, match="already backpropagated"):
+        ad.sum_all(h).backward()
+    # a leaf starts graphs as often as it likes, its gradient accumulating
+    ad.sum_all(ad.scale(x, 3.0)).backward()
+    assert np.array_equal(x.grad, 8.0 * x.data + 3.0)
+
+
 def test_backward_accumulates_through_shared_node(rng):
     # y = x*x computed via mul sharing the same tensor twice
     x = Tensor(np.asarray(3.0), requires_grad=True)

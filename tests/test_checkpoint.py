@@ -1,6 +1,8 @@
 """Checkpoint file round-trips, including frozen flags."""
 
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -36,16 +38,35 @@ def test_version_mismatch_rejected(tmp_path, monkeypatch):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("damage", ["truncated", "empty", "not-npz", "flipped-byte"])
-def test_corrupt_checkpoint_is_a_named_value_error(tmp_path, damage):
+DAMAGE = ["truncated", "empty", "not-npz", "flipped-byte"]
+
+
+def damaged_checkpoint(tmp_path, damage):
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, [Parameter("w", np.arange(40.0))])
     data = path.read_bytes()
     path.write_bytes({"truncated": data[: len(data) // 2], "empty": b"",
                       "not-npz": b"not a checkpoint\n" * 8,
                       "flipped-byte": data[:200] + bytes([data[200] ^ 0xFF]) + data[201:]}[damage])
+    return path
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+def test_corrupt_checkpoint_is_a_named_value_error(tmp_path, damage):
+    path = damaged_checkpoint(tmp_path, damage)
     with pytest.raises(ValueError, match="cannot load checkpoint .*ckpt.npz"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+def test_failed_load_closes_the_file(tmp_path, damage):
+    path = damaged_checkpoint(tmp_path, damage)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_param_store_load_state_rejects_bad_states(rng):

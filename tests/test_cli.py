@@ -77,6 +77,22 @@ def test_invalid_config_fails_cleanly(tmp_path):
     assert result.exit_code == 2
     err = json.loads(result.stderr.strip().splitlines()[-1])
     assert err["error"]["category"] == "invalid-config-or-data"
+    assert "bad.json" in err["error"]["message"]
+    assert "no_such_key" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("text", ['{"task": {"colour": 1}}',
+                                  '{"mt_train": {"lr": 0.1, "colour": 1}}'],
+                         ids=["task", "mt_train"])
+def test_unknown_key_in_a_config_section_fails_cleanly(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    result = CliRunner().invoke(main, ["evaluate", str(path)])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"]["category"] == "invalid-config-or-data"
+    assert "bad.json" in err["error"]["message"]
+    assert "colour" in err["error"]["message"]
 
 
 def test_malformed_config_names_the_file(tmp_path):

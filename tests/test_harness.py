@@ -49,6 +49,20 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_json('{"nonsense": 1}')
 
 
+@pytest.mark.parametrize("section", ["task", "lang", "mt_model", "tc_model", "freezing",
+                                     "mt_train", "tc_train", "finetune"])
+def test_config_rejects_unknown_keys_in_override_sections(tmp_path, section):
+    with pytest.raises(ValueError, match=f"unknown keys in config section '{section}': "
+                                         r"\['colour'\]"):
+        ExperimentConfig.from_dict({section: {"colour": 1}})
+    with pytest.raises(ValueError, match=f"config section '{section}' must be an object"):
+        ExperimentConfig.from_dict({section: [1]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({section: {"colour": 1}}))
+    with pytest.raises(ValueError, match=r"cfg\.json: unknown keys"):
+        ExperimentConfig.load(path)
+
+
 def test_train_config_overrides(tmp_path):
     cfg = tiny_config(tmp_path)
     tc = cfg.train_config("mt", seed=7)

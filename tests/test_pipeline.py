@@ -1,9 +1,12 @@
 """Pipeline composition: freezing contract, hard/soft agreement under forced
 one-hots, fine-tuning behavior, persistence."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from difftt import autodiff as ad
 from difftt.mt import MtModel, TrainConfig
 from difftt.pipeline import (FreezingPolicy, TranslateTestPipeline,
                              apply_freezing, translate_corpus)
@@ -94,6 +97,70 @@ def test_task_loss_backprops_into_both_models(pipeline, vocab):
     loss.backward()
     assert pipeline.mt.store["out.w"].grad is not None
     assert pipeline.tc.store["head.w"].grad is not None
+
+
+def backward_keeping_the_graph(loss):
+    """Reference walk: the pass of ``Tensor.backward``, nodes in the same
+    order, without releasing anything on the way."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if id(p) not in seen)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def test_backward_releases_the_graph_and_keeps_every_gradient(pipeline, vocab):
+    ids = vocab.encode(["t0", "t1", "t2"])
+    stores = (pipeline.mt.store, pipeline.tc.store)
+
+    def task_loss():
+        """The single-label task loss and three of its op outputs."""
+        for store in stores:
+            store.zero_grad()
+        st = pipeline.mt.soft_decode(ids)
+        probs = ad.reshape(st.probs, (1, len(st), len(vocab)))
+        logits = pipeline.tc.logits_soft(probs, np.asarray([len(st)]))
+        return ad.cross_entropy(logits, np.asarray([1])), [st.probs, probs, logits]
+
+    backward_keeping_the_graph(task_loss()[0])
+    expected = [store[n].grad for store in stores for n in store.names()]
+
+    loss, outputs = task_loss()
+    refs = [weakref.ref(t) for t in outputs]
+    loss.backward()
+    assert loss.grad is None and all(t.grad is None for t in outputs)
+    del outputs
+    assert all(ref() is None for ref in refs)
+    got = [store[n].grad for store in stores for n in store.names()]
+    for g, e in zip(got, expected, strict=True):
+        assert (g is None and e is None) or np.array_equal(g, e)
+
+    with pytest.raises(RuntimeError, match="already backpropagated"):
+        loss.backward()
+
+
+def test_leaf_gradients_accumulate_across_separate_losses(pipeline, vocab):
+    params = [p for store in (pipeline.mt.store, pipeline.tc.store) for p in store.trainable()]
+    single = []
+    for ids, label in ((["t0", "t1"], 1), (["t2"], 0)):
+        for p in params:
+            p.zero_grad()
+        pipeline.task_loss(vocab.encode(ids), label).backward()
+        single.append([p.grad for p in params])
+    for p in params:
+        p.zero_grad()
+    pipeline.task_loss(vocab.encode(["t0", "t1"]), 1).backward()
+    pipeline.task_loss(vocab.encode(["t2"]), 0).backward()
+    for p, a, b in zip(params, *single):
+        assert np.allclose(p.grad, a + b, rtol=1e-12, atol=1e-15), p.name
 
 
 def task_loss_grads(pipe, ids, label, draft=None):
