@@ -33,6 +33,12 @@ from .vocab import Vocabulary, build_shared_vocab
 _SECTIONS = {"task": TaskSpec, "lang": SyntheticLanguageSpec, "mt_model": MtConfig,
              "tc_model": TcConfig, "freezing": FreezingPolicy, "mt_train": TrainConfig,
              "tc_train": TrainConfig, "finetune": TrainConfig}
+# the keys each section takes: its class's fields, less a training section's
+# seed, which each of the config's `seeds` sets for its runs
+_SECTION_KEYS = {section: {f.name for f in dataclasses.fields(target)}
+                 - ({"seed"} if target is TrainConfig else set())
+                 for section, target in _SECTIONS.items()}
+_SECTION_KEYS["sweep"] = {"severity", "budgets"}
 
 
 @dataclass
@@ -64,22 +70,35 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """A config from plain data; an unknown key, at the top level or in an
-        override section, raises ``ValueError``."""
+        """A config from plain data. An unknown key, at the top level, in an
+        override section or in ``sweep``, a training section's ``seed`` (the
+        run seeds set it) and an out-of-range translator or training setting
+        raise ``ValueError``."""
         unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for section, target in _SECTIONS.items():
+        for section, known in _SECTION_KEYS.items():
             overrides = data.get(section, {})
             if not isinstance(overrides, dict):
                 raise ValueError(f"config section {section!r} must be an object, "
                                  f"got {type(overrides).__name__}")
-            known = {f.name for f in dataclasses.fields(target)}
             unknown = set(overrides) - known
             if unknown:
                 raise ValueError(f"unknown keys in config section {section!r}: "
-                                 f"{sorted(unknown)}; {target.__name__} takes {sorted(known)}")
-        return cls(**data)
+                                 f"{sorted(unknown)}; it takes {sorted(known)}"
+                                 + ("; the config's seeds set the training seed"
+                                    if "seed" in unknown and _SECTIONS.get(section) is TrainConfig
+                                    else ""))
+        config = cls(**data)
+        # build the translator and training configs once, so that a value out
+        # of range fails here, before any data is generated or model trained
+        try:
+            MtConfig(**config.mt_model)
+            for which in ("mt", "tc", "finetune"):
+                config.train_config(which, seed=0)
+        except TypeError as exc:  # e.g. a string where a number belongs
+            raise ValueError(str(exc)) from exc
+        return config
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":

@@ -38,6 +38,8 @@ class MtConfig:
     def __post_init__(self):
         if self.dropout != 0.0:
             raise ValueError(f"MtConfig.dropout={self.dropout}: the translator has no dropout")
+        if not self.temperature > 0:
+            raise ValueError(f"MtConfig.temperature={self.temperature}: must be > 0")
 
 
 @dataclass
@@ -312,6 +314,13 @@ class TrainConfig:
     max_grad_norm: float = 1.0
     grad_accum: int = 2
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("epochs", "batch_size", "grad_accum"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"TrainConfig.{name}={getattr(self, name)}: must be >= 1")
+        if self.lr < 0:
+            raise ValueError(f"TrainConfig.lr={self.lr}: must be >= 0")
 
 
 class MtTrainResult(FitResult):

@@ -6,6 +6,7 @@ translate-and-train).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .data_io import read_json
 from .metrics import score
-from .mt import MtModel, TrainConfig, _pad_batch
+from .mt import MtConfig, MtModel, TrainConfig, _pad_batch
 from .optim import FitResult, fit
 from .tc import Prediction, TcConfig, TcModel, labels_to_matrix, train_tc
 from .vocab import Vocabulary, assert_alignment
@@ -30,6 +31,23 @@ class FreezingPolicy:
     mt_fraction: float = 0.5
     tc_fraction: float = 0.5
     freeze_tc_head: bool = False
+
+
+@dataclass
+class _Translation:
+    """The greedy translation of one soft-path batch and everything it was
+    decoded from: padded source ids, translator config and parameter values."""
+    src: np.ndarray
+    config: MtConfig
+    params: dict[str, np.ndarray]
+    tokens: list[np.ndarray]
+
+    def decodes_alike(self, src: np.ndarray, mt: MtModel) -> bool:
+        """Whether greedy-decoding ``src`` with ``mt`` now gives ``tokens``."""
+        store = mt.store
+        return (np.array_equal(self.src, src) and self.config == mt.config
+                and list(self.params) == store.names()
+                and all(np.array_equal(v, store[n].data) for n, v in self.params.items()))
 
 
 class TranslateTestPipeline:
@@ -45,6 +63,8 @@ class TranslateTestPipeline:
         self.vocab: Vocabulary = mt.vocab
         self.freezing = freezing or FreezingPolicy()
         apply_freezing(self, self.freezing)
+        # the last predict_batch's translation, for the next predict_hard_batch
+        self._translation: _Translation | None = None
 
     # ------------------------------------------------------------------
     # freezing bookkeeping
@@ -70,17 +90,34 @@ class TranslateTestPipeline:
         return self.predict_batch([list(target_ids)])[0]
 
     def predict_batch(self, target_ids_batch: list[list[int]]) -> list[Prediction]:
+        """Soft-path predictions. The batch's greedy tokens are kept, with a
+        snapshot of what they were decoded from, for the next
+        ``predict_hard_batch``."""
+        self._translation = None
         src = _pad_batch([list(s) for s in target_ids_batch], self.vocab.pad_id)
-        probs, _, lengths = self.mt.soft_decode_values(src)
-        return self.tc.classify_soft_values(probs, lengths)
+        probs, tokens, lengths = self.mt.soft_decode_values(src)
+        preds = self.tc.classify_soft_values(probs, lengths)
+        del probs  # the snapshot below never sits beside the decode's arrays
+        self._translation = _Translation(src, dataclasses.replace(self.mt.config),
+                                         self.mt.store.state(), tokens)
+        return preds
 
     def predict_hard(self, target_ids) -> Prediction:
         """Comparison path: greedy tokens fed to the classifier as ids."""
         return self.predict_hard_batch([list(target_ids)])[0]
 
     def predict_hard_batch(self, target_ids_batch: list[list[int]]) -> list[Prediction]:
+        """Hard-path predictions. Right after ``predict_batch`` of the same
+        batch, with the translator's config and every parameter value
+        unchanged, the greedy tokens that call decoded are classified: they
+        are the soft path's argmax, bitwise what a new decode gives. Any
+        other call decodes. Either way the kept tokens are dropped."""
         src = _pad_batch([list(s) for s in target_ids_batch], self.vocab.pad_id)
-        decoded = self.mt.greedy_decode_batch(src)
+        kept, self._translation = self._translation, None
+        if kept is not None and kept.decodes_alike(src, self.mt):
+            decoded = kept.tokens
+        else:
+            decoded = self.mt.greedy_decode_batch(src)
         return self.tc.classify_tokens_batch([list(seq) for seq in decoded])
 
     def predict_forced_onehot_batch(self, target_ids_batch) -> list[Prediction]:

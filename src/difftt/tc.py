@@ -37,15 +37,42 @@ class TcConfig:
     multi_label: bool = False
 
 
-@dataclass
 class Prediction:
-    logits: np.ndarray
-    label: int | None          # argmax class for multi-class heads
-    scores: np.ndarray         # softmax probs / per-label sigmoid scores
-    ranked: np.ndarray         # label ids by descending score, ties -> lowest index
+    """One row of a batch of classifier outputs.
+
+    Holds its batch's (logits, scores, ranked) arrays, its row index and its
+    ``label``; ``logits``, ``scores`` and ``ranked`` are views of that row,
+    made when read, so a kept prediction costs a few pointers and not four
+    array objects. ``label`` is the argmax class for multi-class heads and
+    None for multi-label ones; ``scores`` are softmax probabilities or
+    per-label sigmoid scores; ``ranked`` orders label ids by descending
+    score, ties to the lowest index.
+    """
+    __slots__ = ("_batch", "_row", "label")
+
+    def __init__(self, batch: tuple[np.ndarray, np.ndarray, np.ndarray], row: int,
+                 label: int | None):
+        self._batch = batch
+        self._row = row
+        self.label = label
+
+    @property
+    def logits(self) -> np.ndarray:
+        return self._batch[0][self._row]
+
+    @property
+    def scores(self) -> np.ndarray:
+        return self._batch[1][self._row]
+
+    @property
+    def ranked(self) -> np.ndarray:
+        return self._batch[2][self._row]
 
     def labels_over_threshold(self, threshold: float = 0.5) -> np.ndarray:
         return np.flatnonzero(self.scores >= threshold)
+
+    def __repr__(self):
+        return f"Prediction(label={self.label}, logits={self.logits})"
 
 
 def rank_labels(scores: np.ndarray) -> np.ndarray:
@@ -141,9 +168,8 @@ class TcModel:
             e = np.exp(logits - logits.max(axis=-1, keepdims=True))
             scores = e / e.sum(axis=-1, keepdims=True)
             labels = [int(i) for i in np.argmax(logits, axis=-1)]
-        ranked = rank_labels(scores)
-        return [Prediction(logits=z, label=label, scores=s, ranked=r)
-                for z, label, s, r in zip(logits, labels, scores, ranked)]
+        batch = (logits, scores, rank_labels(scores))
+        return [Prediction(batch, i, label) for i, label in enumerate(labels)]
 
     # ------------------------------------------------------------------
     # persistence

@@ -95,6 +95,19 @@ def test_unknown_key_in_a_config_section_fails_cleanly(tmp_path, text):
     assert "colour" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("section,value", [("mt_train", {"epochs": 0}),
+                                           ("finetune", {"seed": 5}),
+                                           ("mt_model", {"temperature": -1.0})])
+def test_out_of_range_config_fails_before_training(tmp_path, section, value):
+    path = write_config(tmp_path, **{section: value})
+    result = CliRunner().invoke(main, ["evaluate", str(path)])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"]["category"] == "invalid-config-or-data"
+    assert "config.json" in err["error"]["message"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_malformed_config_names_the_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"name": "x",}')

@@ -63,6 +63,47 @@ def test_config_rejects_unknown_keys_in_override_sections(tmp_path, section):
         ExperimentConfig.load(path)
 
 
+@pytest.mark.parametrize("section", ["mt_train", "tc_train", "finetune"])
+def test_config_rejects_a_training_seed(tmp_path, section):
+    # each of the config's seeds is its runs' seed, so a section's own would be ignored
+    with pytest.raises(ValueError, match=f"section '{section}': \\['seed'\\].*config's seeds"):
+        ExperimentConfig.from_dict({section: {"seed": 5}})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({section: {"seed": 5}}))
+    with pytest.raises(ValueError, match=r"cfg\.json: .*'seed'"):
+        ExperimentConfig.load(path)
+
+
+def test_config_checks_sweep_keys(tmp_path):
+    with pytest.raises(ValueError, match=r"section 'sweep': \['severty'\]"):
+        ExperimentConfig.from_dict({"sweep": {"severty": 0.5}})
+    with pytest.raises(ValueError, match="section 'sweep' must be an object"):
+        ExperimentConfig.from_dict({"sweep": [0.5]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sweep": {"severty": 0.5}}))
+    with pytest.raises(ValueError, match=r"cfg\.json: .*severty"):
+        ExperimentConfig.load(path)
+    cfg = ExperimentConfig.from_dict({"sweep": {"severity": 0.5, "budgets": [0, 10]}})
+    assert cfg.sweep == {"severity": 0.5, "budgets": [0, 10]}
+
+
+@pytest.mark.parametrize("data,match", [
+    ({"mt_train": {"epochs": 0}}, "epochs=0"),
+    ({"tc_train": {"batch_size": 0}}, "batch_size=0"),
+    ({"finetune": {"grad_accum": 0}}, "grad_accum=0"),
+    ({"finetune": {"lr": -1e-4}}, "lr=-0.0001"),
+    ({"mt_model": {"temperature": 0.0}}, "temperature=0.0"),
+    ({"mt_train": {"epochs": "2"}}, "not supported"),
+])
+def test_config_rejects_out_of_range_settings(tmp_path, data, match):
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig.from_dict(data)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=r"cfg\.json: "):
+        ExperimentConfig.load(path)
+
+
 def test_train_config_overrides(tmp_path):
     cfg = tiny_config(tmp_path)
     tc = cfg.train_config("mt", seed=7)

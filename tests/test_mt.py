@@ -28,6 +28,21 @@ def test_nonzero_dropout_rejected():
     assert MtConfig(dropout=0.0).dropout == 0.0
 
 
+@pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
+def test_non_positive_temperature_rejected(temperature):
+    with pytest.raises(ValueError, match="temperature"):
+        MtConfig(temperature=temperature)
+
+
+@pytest.mark.parametrize("field,value", [("epochs", 0), ("batch_size", 0),
+                                         ("grad_accum", 0), ("grad_accum", -2),
+                                         ("lr", -1e-3)])
+def test_train_config_out_of_range_rejected(field, value):
+    with pytest.raises(ValueError, match=f"TrainConfig.{field}={value}"):
+        TrainConfig(**{field: value})
+    assert TrainConfig(lr=0.0, epochs=1, batch_size=1, grad_accum=1).lr == 0.0
+
+
 def test_encode_rejects_bad_lengths(model, vocab):
     with pytest.raises(ValueError, match="empty"):
         model.encode(np.zeros((1, 0), dtype=np.int64))

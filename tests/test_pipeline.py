@@ -92,6 +92,75 @@ def test_predict_single_matches_batch(pipeline, vocab, rng):
         assert np.all(np.isfinite(got.logits))
 
 
+def count_decodes(monkeypatch) -> list:
+    calls = []
+    decode = MtModel.greedy_decode_batch
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return decode(self, *args, **kwargs)
+
+    monkeypatch.setattr(MtModel, "greedy_decode_batch", counting)
+    return calls
+
+
+def _write_in_place(pipe, rng):
+    pipe.mt.out_proj[1].tensor.data[:] += 1
+
+
+def _rebind_parameter(pipe, rng):
+    p = pipe.mt.store["out.w"]
+    p.tensor.data = rng.normal(size=p.data.shape)
+
+
+def _change_temperature(pipe, rng):
+    pipe.mt.config.temperature = 0.5
+
+
+# (steps, greedy decodes): "soft"/"hard" predict batch A, "hard B" batch B,
+# a function changes the pipeline between calls
+SHARED_TRANSLATION_CASES = {
+    "soft then hard": (["soft", "hard"], 1),
+    "other batch": (["soft", "hard B"], 2),
+    "in-place weight write": (["soft", _write_in_place, "hard"], 2),
+    "rebound parameter": (["soft", _rebind_parameter, "hard"], 2),
+    "temperature": (["soft", _change_temperature, "hard"], 2),
+    "hard before soft": (["hard", "soft"], 2),
+    "two soft calls": (["soft", "soft"], 2),
+    "second hard call": (["soft", "hard", "hard"], 2),
+}
+
+
+@pytest.mark.parametrize("case", SHARED_TRANSLATION_CASES)
+def test_hard_path_reuses_only_an_unchanged_translation(pipeline, vocab, rng, monkeypatch,
+                                                        tmp_path, case):
+    steps, decodes = SHARED_TRANSLATION_CASES[case]
+    batch_a = random_inputs(vocab, rng, 6)
+    batch_b = [list(ids) for ids in batch_a]
+    batch_b[2][0] = batch_b[2][0] % (len(vocab) - 1) + 1  # same shape, one token differs
+    calls = count_decodes(monkeypatch)
+    soft, hard = [], []
+    for step in steps:
+        if step == "soft":
+            soft.append(pipeline.predict_batch(batch_a))
+        elif step in ("hard", "hard B"):
+            batch = batch_b if step == "hard B" else batch_a
+            hard.append((batch, pipeline.predict_hard_batch(batch)))
+        else:
+            step(pipeline, rng)
+    assert len(calls) == decodes
+    if len(soft) == 2:
+        assert all(np.array_equal(a.logits, b.logits) for a, b in zip(*soft))
+    # every change happens before the last hard call: a pipeline loaded from
+    # the final weights decodes each hard batch afresh
+    pipeline.save(tmp_path)
+    fresh = TranslateTestPipeline.load(tmp_path)
+    for batch, preds in hard:
+        for got, want in zip(preds, fresh.predict_hard_batch(batch)):
+            assert got.logits.tobytes() == want.logits.tobytes()
+            assert got.label == want.label
+
+
 def test_task_loss_backprops_into_both_models(pipeline, vocab):
     loss = pipeline.task_loss(vocab.encode(["t0", "t1"]), 1)
     loss.backward()

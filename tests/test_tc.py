@@ -138,6 +138,15 @@ def test_batch_predictions_equal_per_row_reference(vocab, rng, multi_label, n_cl
         assert np.array_equal(got.ranked, np.argsort(-scores, kind="stable"))
 
 
+def test_predictions_are_row_views_of_their_batch(model, vocab):
+    preds = model.classify_tokens_batch([vocab.encode(["t0"]), vocab.encode(["t1", "t2"])])
+    assert not hasattr(preds[0], "__dict__")  # a label, a row index, one shared batch
+    for name in ("logits", "scores", "ranked"):
+        first, second = getattr(preds[0], name), getattr(preds[1], name)
+        assert first.shape == (3,) and first.base is not None
+        assert first.base is second.base
+
+
 def test_rank_labels_ties_lowest_index():
     assert list(rank_labels(np.asarray([0.5, 0.5, 0.1]))) == [0, 1, 2]
     assert list(rank_labels(np.asarray([0.1, 0.9, 0.9]))) == [1, 2, 0]
