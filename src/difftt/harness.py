@@ -84,11 +84,11 @@ class ExperimentConfig:
                                  f"got {type(overrides).__name__}")
             unknown = set(overrides) - known
             if unknown:
+                # a training section's seed is a TrainConfig field: say why it is refused
+                why = ("; the config's seeds set the training seed"
+                       if "seed" in unknown and _SECTIONS.get(section) is TrainConfig else "")
                 raise ValueError(f"unknown keys in config section {section!r}: "
-                                 f"{sorted(unknown)}; it takes {sorted(known)}"
-                                 + ("; the config's seeds set the training seed"
-                                    if "seed" in unknown and _SECTIONS.get(section) is TrainConfig
-                                    else ""))
+                                 f"{sorted(unknown)}; it takes {sorted(known)}{why}")
         config = cls(**data)
         # build the translator and training configs once, so that a value out
         # of range fails here, before any data is generated or model trained
