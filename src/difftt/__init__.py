@@ -15,7 +15,7 @@ from .metrics import accuracy, corpus_bleu, mean_r_precision, r_precision
 from .mt import MtConfig, MtModel, SoftTranslation, TrainConfig, train_mt
 from .optim import AdamW, AdamWConfig
 from .params import Parameter
-from .pipeline import (FreezingPolicy, TranslateTestPipeline, apply_freezing, lm_baseline,
+from .pipeline import (FreezingPolicy, TranslateTestPipeline, apply_freezing,
                        translate_and_train)
 from .synthlang import (DatasetBundle, SyntheticLanguageSpec, TaskSpec,
                         degrade_language, gen_classification_dataset,

@@ -26,6 +26,8 @@ _apply_thread_env()
 
 import click
 
+from . import harness
+
 ERROR_CATEGORIES = {
     FileNotFoundError: "missing-input",
     FileExistsError: "output-exists",
@@ -46,10 +48,18 @@ def _fail(exc: BaseException):
     sys.exit(2 if category != "internal" else 1)
 
 
-def _load_config(path):
-    from .harness import ExperimentConfig
+class _Command(click.Command):
+    """The CLI's one error boundary: a failure after parsing becomes an error record."""
 
-    config = ExperimentConfig.load(path)
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except Exception as exc:  # noqa: BLE001 - CLI boundary
+            _fail(exc)
+
+
+def _load_config(path):
+    config = harness.ExperimentConfig.load(path)
     override = os.environ.get("DIFFTT_OUTPUT_DIR")
     if override:
         config.out_dir = override
@@ -61,28 +71,16 @@ def main():
     """Differentiable translate-and-test experiment harness."""
 
 
+main.command_class = _Command  # every subcommand below is one
+
+
 @main.command("gen-data")
 @click.argument("config_path", type=click.Path(exists=True))
 @click.option("--force", is_flag=True, help="Overwrite an existing output directory.")
 def gen_data(config_path, force):
     """Generate the synthetic dataset bundle and its manifest."""
-    from .harness import cmd_gen_data
-
-    try:
-        out = cmd_gen_data(_load_config(config_path), force=force)
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        _fail(exc)
+    out = harness.cmd_gen_data(_load_config(config_path), force=force)
     click.echo(f"wrote dataset bundle to {out}")
-
-
-def _train(which, config_path, seed):
-    from .harness import cmd_train
-
-    try:
-        summary = cmd_train(which, _load_config(config_path), seed)
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
-    click.echo(json.dumps(summary, indent=2))
 
 
 @main.command("train-mt")
@@ -92,7 +90,9 @@ def _train(which, config_path, seed):
               help="Train the reverse (high-resource to target) translator.")
 def train_mt_cmd(config_path, seed, reverse):
     """Train the translator, keeping per-epoch checkpoints."""
-    _train("reverse-mt" if reverse else "mt", config_path, seed)
+    summary = harness.cmd_train("reverse-mt" if reverse else "mt",
+                                _load_config(config_path), seed)
+    click.echo(json.dumps(summary, indent=2))
 
 
 @main.command("train-tc")
@@ -100,7 +100,7 @@ def train_mt_cmd(config_path, seed, reverse):
 @click.option("--seed", type=int, default=None)
 def train_tc_cmd(config_path, seed):
     """Train the high-resource classifier."""
-    _train("tc", config_path, seed)
+    click.echo(json.dumps(harness.cmd_train("tc", _load_config(config_path), seed), indent=2))
 
 
 @main.command("finetune")
@@ -109,59 +109,22 @@ def train_tc_cmd(config_path, seed):
 @click.option("--seed", type=int, default=None)
 def finetune_cmd(config_path, budget, seed):
     """Jointly fine-tune the pipeline on k target-language shots."""
-    from pathlib import Path
-
-    from .harness import (generate_bundle, shared_vocabulary,
-                          train_mt_component, train_tc_component)
-    from .data_io import read_bundle
-    from .pipeline import TranslateTestPipeline
-
-    try:
-        config = _load_config(config_path)
-        data_dir = Path(config.out_dir) / "data"
-        bundle = read_bundle(data_dir) if data_dir.exists() else generate_bundle(config)
-        if budget not in bundle.few_shot:
-            raise ValueError(f"budget {budget} has no few-shot pool; finetune takes one of "
-                             f"the pool sizes {sorted(bundle.few_shot)}")
-        vocab = shared_vocabulary(bundle.lang)
-        seed = config.seeds[0] if seed is None else seed
-        mt, _ = train_mt_component(config, bundle, vocab, seed)
-        tc, _ = train_tc_component(config, bundle, vocab, seed)
-        pipe = TranslateTestPipeline(mt, tc, config.freezing_policy())
-        result = pipe.finetune_end_to_end(bundle.few_shot[budget], bundle.selection_dev,
-                                          config.train_config("finetune", seed))
-        out = Path(config.out_dir) / f"pipeline_k{budget}_seed{seed}"
-        pipe.save(out)
-        click.echo(json.dumps({"saved": str(out), "best_epoch": result.best_epoch,
-                               "val_metric": result.val_metric,
-                               "train_loss": result.train_loss}, indent=2))
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    summary = harness.cmd_finetune(_load_config(config_path), budget, seed)
+    click.echo(json.dumps(summary, indent=2))
 
 
 @main.command("evaluate")
 @click.argument("config_path", type=click.Path(exists=True))
 def evaluate_cmd(config_path):
     """Run the full method x budget x seed evaluation matrix."""
-    from .harness import cmd_evaluate
-
-    try:
-        report = cmd_evaluate(_load_config(config_path))
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
-    click.echo(report.to_json())
+    click.echo(harness.cmd_evaluate(_load_config(config_path)).to_json())
 
 
 @main.command("sweep-bleu")
 @click.argument("config_path", type=click.Path(exists=True))
 def sweep_cmd(config_path):
     """Translation-quality sensitivity sweep over MT checkpoints."""
-    from .harness import cmd_sweep_bleu
-
-    try:
-        out = cmd_sweep_bleu(_load_config(config_path))
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    out = harness.cmd_sweep_bleu(_load_config(config_path))
     click.echo(json.dumps(out["spearman"], indent=2))
 
 
@@ -169,13 +132,7 @@ def sweep_cmd(config_path):
 @click.argument("config_path", type=click.Path(exists=True))
 def report_cmd(config_path):
     """Reload a run report, verify its averages, and print the table."""
-    from .harness import cmd_report
-
-    try:
-        config = _load_config(config_path)
-        report = cmd_report(config.out_dir)
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    report = harness.cmd_report(_load_config(config_path).out_dir)
     click.echo(f"{report.name} ({report.metric_kind})")
     for row in report.averages:
         click.echo(f"  {row['method']:>16}  k={row['budget']:<4} "

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -21,8 +22,7 @@ from pathlib import Path
 from .data_io import read_bundle, read_json, write_bundle
 from .metrics import score
 from .mt import MtConfig, MtModel, TrainConfig, evaluate_bleu, train_mt
-from .pipeline import (FreezingPolicy, TranslateTestPipeline, lm_baseline,
-                       translate_and_train)
+from .pipeline import FreezingPolicy, TranslateTestPipeline, translate_and_train
 from .synthlang import (DatasetBundle, SyntheticLanguageSpec, TaskSpec,
                         degrade_language, gen_classification_dataset)
 from .tc import TcConfig, TcModel, train_tc
@@ -72,8 +72,9 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """A config from plain data. An unknown key, at the top level, in an
         override section or in ``sweep``, a training section's ``seed`` (the
-        run seeds set it) and an out-of-range translator or training setting
-        raise ``ValueError``."""
+        run seeds set it), an out-of-range translator, training or freezing
+        setting, an empty ``seeds`` and a repeated seed or budget raise
+        ``ValueError``."""
         unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -90,14 +91,22 @@ class ExperimentConfig:
                 raise ValueError(f"unknown keys in config section {section!r}: "
                                  f"{sorted(unknown)}; it takes {sorted(known)}{why}")
         config = cls(**data)
-        # build the translator and training configs once, so that a value out
-        # of range fails here, before any data is generated or model trained
+        # build the translator, training and freezing configs once, so that a
+        # value out of range fails here, before any data is generated or model trained
         try:
             MtConfig(**config.mt_model)
             for which in ("mt", "tc", "finetune"):
                 config.train_config(which, seed=0)
+            config.freezing_policy()
+            # a repeat would write duplicate report rows, or overwrite a sweep column
+            for key, values in (("seeds", config.seeds), ("budgets", config.budgets),
+                                ("sweep budgets", config.sweep.get("budgets", [0]))):
+                if len(set(values)) < len(values):
+                    raise ValueError(f"{key} {values} repeat a value")
         except TypeError as exc:  # e.g. a string where a number belongs
             raise ValueError(str(exc)) from exc
+        if not config.seeds:
+            raise ValueError("seeds is empty; a run needs at least one seed")
         return config
 
     @classmethod
@@ -151,6 +160,12 @@ def generate_bundle(config: ExperimentConfig,
     return gen_classification_dataset(
         config.task_spec(), lang or config.lang_spec(),
         sizes=tuple(config.sizes), parallel_sizes=tuple(config.parallel_sizes))
+
+
+def load_bundle(config: ExperimentConfig) -> DatasetBundle:
+    """The bundle ``cmd_gen_data`` wrote under ``out_dir``, else a new one."""
+    data_dir = Path(config.out_dir) / "data"
+    return read_bundle(data_dir) if data_dir.exists() else generate_bundle(config)
 
 
 def cmd_gen_data(config: ExperimentConfig, force: bool = False) -> Path:
@@ -234,28 +249,19 @@ class RunReport:
     soft_hard_delta: dict = field(default_factory=dict)
 
     def compute_averages(self):
-        keys = sorted({(r["method"], r["budget"]) for r in self.rows})
-        self.averages = []
-        for method, budget in keys:
-            vals = [r["metric"] for r in self.rows
-                    if r["method"] == method and r["budget"] == budget]
-            times = [r["ms_per_sample"] for r in self.rows
-                     if r["method"] == method and r["budget"] == budget]
-            self.averages.append({
-                "method": method, "budget": budget,
-                "metric_mean": sum(vals) / len(vals),
-                "ms_per_sample_mean": sum(times) / len(times),
-                "n_seeds": len(vals),
-            })
-        deltas = {}
-        for budget in sorted({r["budget"] for r in self.rows}):
-            soft = [r["metric"] for r in self.rows
-                    if r["method"] == "pipeline_soft" and r["budget"] == budget]
-            hard = [r["metric"] for r in self.rows
-                    if r["method"] == "pipeline_hard" and r["budget"] == budget]
-            if soft and hard:
-                deltas[str(budget)] = sum(soft) / len(soft) - sum(hard) / len(hard)
-        self.soft_hard_delta = deltas
+        groups: dict[tuple, list] = {}
+        for r in self.rows:
+            groups.setdefault((r["method"], r["budget"]), []).append(r)
+        self.averages = [{
+            "method": method, "budget": budget,
+            "metric_mean": sum(r["metric"] for r in rows) / len(rows),
+            "ms_per_sample_mean": sum(r["ms_per_sample"] for r in rows) / len(rows),
+            "n_seeds": len(rows),
+        } for (method, budget), rows in sorted(groups.items())]
+        means = {(a["method"], a["budget"]): a["metric_mean"] for a in self.averages}
+        self.soft_hard_delta = {str(budget): mean - means["pipeline_hard", budget]
+                                for (method, budget), mean in means.items()
+                                if method == "pipeline_soft" and ("pipeline_hard", budget) in means}
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -269,13 +275,6 @@ class RunReport:
                                                    "metric", "ms_per_sample"])
             writer.writeheader()
             writer.writerows(self.rows)
-
-
-def _timed_metric(eval_fn, n_samples: int) -> tuple[float, float]:
-    start = time.perf_counter()
-    metric = eval_fn()
-    elapsed = (time.perf_counter() - start) * 1000.0 / max(n_samples, 1)
-    return metric, elapsed
 
 
 def _eval_tokens(model: TcModel, samples) -> float:
@@ -292,68 +291,100 @@ def _check_budgets(budgets, bundle: DatasetBundle):
                              f"and the pool sizes {sorted(bundle.few_shot)}")
 
 
+def few_shot_pipeline(config: ExperimentConfig, bundle: DatasetBundle, seed: int,
+                      budget: int, mt: MtModel, tc: TcModel,
+                      trained: tuple[dict, dict]) -> tuple[TranslateTestPipeline, object]:
+    """Restore ``mt`` and ``tc`` to ``trained``, their ``store.state()``, couple them
+    under the config's freezing policy and, for ``budget`` > 0, fine-tune jointly on
+    that pool. Returns the pipeline and the fine-tuning result (None at zero shots)."""
+    for model, state in zip((mt, tc), trained):
+        model.store.load_state(state)
+    pipe = TranslateTestPipeline(mt, tc, config.freezing_policy())
+    result = None
+    if budget:
+        result = pipe.finetune_end_to_end(bundle.few_shot[budget], bundle.selection_dev,
+                                          config.train_config("finetune", seed))
+    return pipe, result
+
+
+def few_shot_classifier(config: ExperimentConfig, bundle: DatasetBundle, seed: int,
+                        budget: int, tc: TcModel, trained: dict) -> TcModel:
+    """The LM and translate-and-train baselines' step: restore ``tc`` to ``trained``
+    and, for ``budget`` > 0, go on training it alone on that pool, as ``train_tc`` does."""
+    tc.store.load_state(trained)
+    if budget:
+        train_tc(tc, bundle.few_shot[budget], bundle.selection_dev,
+                 config.train_config("finetune", seed))
+    return tc
+
+
+def cmd_finetune(config: ExperimentConfig, budget: int, seed: int | None = None) -> dict:
+    """Train both components, fine-tune them jointly on ``budget`` shots, save the pipeline."""
+    bundle = load_bundle(config)
+    if budget not in bundle.few_shot:
+        raise ValueError(f"budget {budget} has no few-shot pool; finetune takes one of "
+                         f"the pool sizes {sorted(bundle.few_shot)}")
+    vocab = shared_vocabulary(bundle.lang)
+    seed = config.seeds[0] if seed is None else seed
+    mt, _ = train_mt_component(config, bundle, vocab, seed)
+    tc, _ = train_tc_component(config, bundle, vocab, seed)
+    pipe, result = few_shot_pipeline(config, bundle, seed, budget, mt, tc,
+                                     (mt.store.state(), tc.store.state()))
+    out = Path(config.out_dir) / f"pipeline_k{budget}_seed{seed}"
+    pipe.save(out)
+    return {"saved": str(out), "best_epoch": result.best_epoch,
+            "val_metric": result.val_metric, "train_loss": result.train_loss}
+
+
 def cmd_evaluate(config: ExperimentConfig, bundle: DatasetBundle | None = None) -> RunReport:
     """Run the {LM baseline, soft, hard, translate-and-train} x budgets x seeds
     matrix and emit the report (JSON + CSV)."""
     if bundle is None:
-        data_dir = Path(config.out_dir) / "data"
-        bundle = read_bundle(data_dir) if data_dir.exists() else generate_bundle(config)
+        bundle = load_bundle(config)
     vocab = shared_vocabulary(bundle.lang)
     task = bundle.task
     metric_kind = "mrp" if task.kind == "multi_label" else "accuracy"
     report = RunReport(name=config.name, metric_kind=metric_kind)
     test = bundle.tg_test
-    unknown = set(config.methods) - {"lm", "pipeline", "translate_train"}
+    methods = set(config.methods)
+    unknown = methods - {"lm", "pipeline", "translate_train"}
     if unknown:
         raise ValueError(f"unknown methods requested: {sorted(unknown)}")
     _check_budgets(config.budgets, bundle)
 
+    def add_row(method: str, evaluate):
+        """Time ``evaluate()`` alone and record its metric for this seed and budget."""
+        start = time.perf_counter()
+        metric = evaluate()
+        ms = (time.perf_counter() - start) * 1000.0 / max(len(test), 1)
+        report.rows.append({"method": method, "budget": budget, "seed": seed,
+                            "metric": metric, "ms_per_sample": ms})
+
     for seed in config.seeds:
-        needs_pipeline = "pipeline" in config.methods
-        mt = tc = None
-        if needs_pipeline or "lm" in config.methods:
+        if methods & {"lm", "pipeline"}:
             tc, _ = train_tc_component(config, bundle, vocab, seed)
             tc_state = tc.store.state()
-        if needs_pipeline:
+        if "pipeline" in methods:
             mt, _ = train_mt_component(config, bundle, vocab, seed)
-            mt_state = mt.store.state()
-        reverse_mt = None
-        if "translate_train" in config.methods:
+            trained = (mt.store.state(), tc_state)
+        if "translate_train" in methods:
             reverse_mt, _ = train_mt_component(config, bundle, vocab, seed, reverse=True)
+            tt = translate_and_train(reverse_mt, bundle, tc_seed=seed,
+                                     tc_config=config.tc_config(task),
+                                     train_config=config.train_config("tc", seed))
+            tt_state = tt.store.state()
 
         for budget in config.budgets:
-            if "lm" in config.methods:
-                tc.store.load_state(tc_state)
-                if budget:
-                    lm_baseline(tc, bundle.few_shot[budget], bundle.selection_dev,
-                                config.train_config("finetune", seed))
-                metric, ms = _timed_metric(lambda: _eval_tokens(tc, test), len(test))
-                report.rows.append({"method": "lm", "budget": budget, "seed": seed,
-                                    "metric": metric, "ms_per_sample": ms})
-            if needs_pipeline:
-                mt.store.load_state(mt_state)
-                tc.store.load_state(tc_state)
-                pipe = TranslateTestPipeline(mt, tc, config.freezing_policy())
-                if budget:
-                    pipe.finetune_end_to_end(bundle.few_shot[budget],
-                                             bundle.selection_dev,
-                                             config.train_config("finetune", seed))
-                metric, ms = _timed_metric(lambda: pipe.evaluate_metric(test), len(test))
-                report.rows.append({"method": "pipeline_soft", "budget": budget,
-                                    "seed": seed, "metric": metric, "ms_per_sample": ms})
-                metric, ms = _timed_metric(
-                    lambda: pipe.evaluate_metric(test, hard=True), len(test))
-                report.rows.append({"method": "pipeline_hard", "budget": budget,
-                                    "seed": seed, "metric": metric, "ms_per_sample": ms})
-            if reverse_mt is not None:
-                model = translate_and_train(
-                    reverse_mt, bundle, tc_seed=seed, tc_config=config.tc_config(task),
-                    train_config=config.train_config("tc", seed),
-                    few_shot_k=budget,
-                    finetune_config=config.train_config("finetune", seed))
-                metric, ms = _timed_metric(lambda: _eval_tokens(model, test), len(test))
-                report.rows.append({"method": "translate_train", "budget": budget,
-                                    "seed": seed, "metric": metric, "ms_per_sample": ms})
+            if "lm" in methods:
+                model = few_shot_classifier(config, bundle, seed, budget, tc, tc_state)
+                add_row("lm", lambda: _eval_tokens(model, test))
+            if "pipeline" in methods:
+                pipe, _ = few_shot_pipeline(config, bundle, seed, budget, mt, tc, trained)
+                add_row("pipeline_soft", lambda: pipe.evaluate_metric(test))
+                add_row("pipeline_hard", lambda: pipe.evaluate_metric(test, hard=True))
+            if "translate_train" in methods:
+                model = few_shot_classifier(config, bundle, seed, budget, tt, tt_state)
+                add_row("translate_train", lambda: _eval_tokens(model, test))
 
     report.compute_averages()
     report.write(Path(config.out_dir) / "report")
@@ -367,7 +398,7 @@ def cmd_evaluate(config: ExperimentConfig, bundle: DatasetBundle | None = None) 
 def cmd_sweep_bleu(config: ExperimentConfig, bundle: DatasetBundle | None = None) -> dict:
     """Translation-quality sensitivity: per MT checkpoint, test BLEU and the
     downstream metric; reports the (BLEU, metric) series and their Spearman
-    rank correlation."""
+    rank correlation, None where a series is constant and it is undefined."""
     severity = float(config.sweep.get("severity", 0.8))
     budgets = list(config.sweep.get("budgets", [0]))
     lang = degrade_language(config.lang_spec(), severity)
@@ -383,12 +414,10 @@ def cmd_sweep_bleu(config: ExperimentConfig, bundle: DatasetBundle | None = None
 
     ckpt_dir = Path(config.out_dir) / "sweep_checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    mt = MtModel(vocab, MtConfig(**config.mt_model), seed=seed)
+    # the model train_mt_component starts from: it builds the same one from the seed
     untrained = ckpt_dir / "mt_untrained.npz"
-    mt.save(untrained, extra={"epoch": -1})
-    result = train_mt(mt, [(t, s) for s, t in bundle.parallel.train],
-                      [(t, s) for s, t in bundle.parallel.dev],
-                      mt_train, checkpoint_dir=ckpt_dir)
+    MtModel(vocab, MtConfig(**config.mt_model), seed=seed).save(untrained, extra={"epoch": -1})
+    mt, result = train_mt_component(config, bundle, vocab, seed, checkpoint_dir=ckpt_dir)
     checkpoints = [str(untrained)] + result.checkpoint_paths
 
     tc, _ = train_tc_component(config, bundle, vocab, seed)
@@ -402,12 +431,9 @@ def cmd_sweep_bleu(config: ExperimentConfig, bundle: DatasetBundle | None = None
         model = MtModel.load(path, vocab)
         bleu = evaluate_bleu(model, test_src, test_refs)
         entry = {"checkpoint": path, "bleu": bleu}
+        trained = (model.store.state(), tc_state)
         for budget in budgets:
-            tc.store.load_state(tc_state)
-            pipe = TranslateTestPipeline(model, tc, config.freezing_policy())
-            if budget:
-                pipe.finetune_end_to_end(bundle.few_shot[budget], bundle.selection_dev,
-                                         config.train_config("finetune", seed))
+            pipe, _ = few_shot_pipeline(config, bundle, seed, budget, model, tc, trained)
             entry[f"metric_k{budget}"] = pipe.evaluate_metric(bundle.tg_test)
         series.append(entry)
 
@@ -418,12 +444,13 @@ def cmd_sweep_bleu(config: ExperimentConfig, bundle: DatasetBundle | None = None
     bleus = [e["bleu"] for e in series]
     for budget in budgets:
         metrics = [e[f"metric_k{budget}"] for e in series]
-        rho = stats.spearmanr(bleus, metrics).statistic
-        out["spearman"][str(budget)] = float(rho)
+        rho = float(stats.spearmanr(bleus, metrics).statistic)
+        out["spearman"][str(budget)] = None if math.isnan(rho) else rho
 
     sweep_dir = Path(config.out_dir) / "sweep"
     sweep_dir.mkdir(parents=True, exist_ok=True)
-    (sweep_dir / "sweep.json").write_text(json.dumps(out, indent=2, sort_keys=True))
+    (sweep_dir / "sweep.json").write_text(json.dumps(out, indent=2, sort_keys=True,
+                                                     allow_nan=False))
     with open(sweep_dir / "sweep.csv", "w", newline="") as f:
         fields = ["checkpoint", "bleu"] + [f"metric_k{b}" for b in budgets]
         writer = csv.DictWriter(f, fieldnames=fields)

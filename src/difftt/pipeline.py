@@ -1,7 +1,7 @@
 """Composition of translator and classifier, plus the training strategies:
 zero-shot transfer, joint end-to-end few-shot fine-tuning with layer freezing,
-the hard-argmax comparison path, and the two baselines (direct classifier,
-translate-and-train).
+the hard-argmax comparison path, and the translate-and-train baseline's
+classifier (the direct-classifier baseline is the classifier itself).
 """
 
 from __future__ import annotations
@@ -31,6 +31,11 @@ class FreezingPolicy:
     mt_fraction: float = 0.5
     tc_fraction: float = 0.5
     freeze_tc_head: bool = False
+
+    def __post_init__(self):
+        if not (0.0 <= self.mt_fraction <= 1.0 and 0.0 <= self.tc_fraction <= 1.0):
+            raise ValueError(f"freezing fractions must be in [0, 1], got mt_fraction="
+                             f"{self.mt_fraction}, tc_fraction={self.tc_fraction}")
 
 
 @dataclass
@@ -218,7 +223,7 @@ class TranslateTestPipeline:
         meta = read_json(path, ("freezing", "vocab_hash"))
         try:
             freezing = FreezingPolicy(**meta["freezing"])
-        except TypeError as exc:  # unknown or missing policy fields
+        except (TypeError, ValueError) as exc:  # unknown, missing or out-of-range fields
             raise ValueError(f"{path}: {exc}") from exc
         vocab = Vocabulary.load(directory / "vocab.txt")
         if vocab_hash(vocab) != meta["vocab_hash"]:
@@ -236,8 +241,6 @@ def apply_freezing(pipeline: TranslateTestPipeline, policy: FreezingPolicy):
     """Freeze the lowest ceil(fraction*N) translator layers (plus its token and
     positional embeddings) and the highest ceil(fraction*N) classifier encoder
     layers (plus the head when requested)."""
-    if not (0.0 <= policy.mt_fraction <= 1.0 and 0.0 <= policy.tc_fraction <= 1.0):
-        raise ValueError("freezing fractions must be in [0, 1]")
     mt, tc = pipeline.mt, pipeline.tc
     for store in (mt.store, tc.store):
         for group in store.groups:
@@ -263,20 +266,6 @@ def apply_freezing(pipeline: TranslateTestPipeline, policy: FreezingPolicy):
 # baselines
 # ---------------------------------------------------------------------------
 
-def lm_baseline(model: TcModel, few_shot_data, selection_dev,
-                config: TrainConfig | None = None):
-    """Few-shot fine-tune the direct classifier on target-language samples.
-
-    The zero-shot baseline is the trained classifier used as-is; with k >= 1
-    shots it continues training on the target-language token path with the
-    same selection protocol as the pipeline.
-    """
-    if not few_shot_data:
-        return None
-    cfg = config or TrainConfig(lr=3e-6, batch_size=1, warmup_steps=0, grad_accum=1)
-    return train_tc(model, few_shot_data, selection_dev, cfg)
-
-
 def translate_corpus(reverse_mt: MtModel, samples) -> list:
     """Token-wise translate labeled samples with an en->target translator."""
     vocab = reverse_mt.vocab
@@ -290,20 +279,15 @@ def translate_corpus(reverse_mt: MtModel, samples) -> list:
 
 
 def translate_and_train(reverse_mt: MtModel, bundle, tc_seed: int = 0,
-                        tc_config=None, train_config: TrainConfig | None = None,
-                        few_shot_k: int = 0,
-                        finetune_config: TrainConfig | None = None) -> TcModel:
+                        tc_config=None, train_config: TrainConfig | None = None) -> TcModel:
     """Translate the high-resource training/validation data into the target
     language and train a dedicated target-language classifier (one per task
-    and language). Supports the same few-shot fine-tuning on real
-    target-language samples."""
+    and language). The harness fine-tunes it on target-language shots as it
+    does the direct classifier."""
     tt_train = translate_corpus(reverse_mt, bundle.hr_train)
     tt_dev = translate_corpus(reverse_mt, bundle.hr_dev)
     model = TcModel(reverse_mt.vocab, tc_config or TcConfig(
         n_classes=bundle.task.n_classes,
         multi_label=bundle.task.kind == "multi_label"), seed=tc_seed)
     train_tc(model, tt_train, tt_dev, train_config)
-    if few_shot_k:
-        lm_baseline(model, bundle.few_shot[few_shot_k], bundle.selection_dev,
-                    finetune_config)
     return model

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from difftt import harness
+from difftt.checkpoint import load_checkpoint
 from difftt.harness import (ExperimentConfig, RunReport, cmd_evaluate,
                             cmd_gen_data, cmd_report, cmd_sweep_bleu, cmd_train,
                             generate_bundle, shared_vocabulary)
@@ -94,6 +95,12 @@ def test_config_checks_sweep_keys(tmp_path):
     ({"finetune": {"lr": -1e-4}}, "lr=-0.0001"),
     ({"mt_model": {"temperature": 0.0}}, "temperature=0.0"),
     ({"mt_train": {"epochs": "2"}}, "not supported"),
+    ({"freezing": {"mt_fraction": 2.0}}, r"must be in \[0, 1\].*mt_fraction=2.0"),
+    ({"freezing": {"tc_fraction": -0.1}}, "tc_fraction=-0.1"),
+    ({"seeds": []}, "seeds is empty"),
+    ({"seeds": [1, 2, 1]}, r"seeds \[1, 2, 1\] repeat"),
+    ({"budgets": [0, 10, 10]}, r"budgets \[0, 10, 10\] repeat"),
+    ({"sweep": {"budgets": [0, 0]}}, r"sweep budgets \[0, 0\] repeat"),
 ])
 def test_config_rejects_out_of_range_settings(tmp_path, data, match):
     with pytest.raises(ValueError, match=match):
@@ -203,6 +210,55 @@ def test_sweep_rejects_too_few_epochs_before_training(tmp_path, monkeypatch):
     assert not (tmp_path / "run" / "sweep_checkpoints").exists()
 
 
+def sweep_config(tmp_path, budgets):
+    return tiny_config(tmp_path, sweep={"severity": 0.8, "budgets": budgets},
+                       mt_train={"epochs": 2, "batch_size": 16, "lr": 1e-3,
+                                 "warmup_steps": 0, "grad_accum": 1})
+
+
+@pytest.mark.parametrize("budgets", [[10, 0], [10, 100]])
+def test_sweep_starts_every_budget_from_the_trained_models(tmp_path, monkeypatch, budgets):
+    # a budget after a positive one must not start from the translator that
+    # the previous budget fine-tuned
+    trained_tc, built = [], []
+    train_tc_component = harness.train_tc_component
+    pipeline_class = harness.TranslateTestPipeline
+
+    def recording_train_tc(*args, **kwargs):
+        model, result = train_tc_component(*args, **kwargs)
+        trained_tc.append(model.store.state())
+        return model, result
+
+    def recording_pipeline(mt, tc, freezing):
+        built.append((mt.store.state(), tc.store.state()))
+        return pipeline_class(mt, tc, freezing)
+
+    monkeypatch.setattr(harness, "train_tc_component", recording_train_tc)
+    monkeypatch.setattr(harness, "TranslateTestPipeline", recording_pipeline)
+    out = cmd_sweep_bleu(sweep_config(tmp_path, budgets))
+    assert len(trained_tc) == 1 and len(built) == len(out["series"]) * len(budgets) == 6
+    for i, entry in enumerate(out["series"]):
+        checkpoint = load_checkpoint(entry["checkpoint"])[0]
+        for mt_state, tc_state in built[i * len(budgets): (i + 1) * len(budgets)]:
+            assert mt_state.keys() == checkpoint.keys()
+            assert all(np.array_equal(mt_state[n], v) for n, v in checkpoint.items())
+            assert all(np.array_equal(tc_state[n], v) for n, v in trained_tc[0].items())
+
+
+def test_sweep_writes_an_undefined_correlation_as_null(tmp_path, monkeypatch):
+    # a constant metric series has no rank correlation: strict JSON has no NaN
+    monkeypatch.setattr(harness.TranslateTestPipeline, "evaluate_metric",
+                        lambda self, data, hard=False: 0.5)
+    out = cmd_sweep_bleu(sweep_config(tmp_path, [0]))
+    assert out["spearman"] == {"0": None}
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    text = (tmp_path / "run" / "sweep" / "sweep.json").read_text()
+    assert json.loads(text, parse_constant=reject)["spearman"] == {"0": None}
+
+
 def test_translate_train_uses_the_configured_classifier(tmp_path, monkeypatch):
     built = []
     original = harness.translate_and_train
@@ -213,9 +269,10 @@ def test_translate_train_uses_the_configured_classifier(tmp_path, monkeypatch):
         return model
 
     monkeypatch.setattr(harness, "translate_and_train", recording)
-    cfg = tiny_config(tmp_path, methods=["translate_train"], budgets=[0])
+    cfg = tiny_config(tmp_path, methods=["translate_train"], budgets=[0, 10])
     report = cmd_evaluate(cfg)
     assert {r["method"] for r in report.rows} == {"translate_train"}
+    # one classifier per seed: each budget fine-tunes a restored copy of it
     assert [(c.d_model, c.n_layers, c.d_ff, c.max_len) for c in built] == [(16, 1, 32, 18)]
 
 

@@ -1,6 +1,7 @@
 """Pipeline composition: freezing contract, hard/soft agreement under forced
 one-hots, fine-tuning behavior, persistence."""
 
+import json
 import weakref
 
 import numpy as np
@@ -448,6 +449,16 @@ def test_load_names_a_corrupt_file(pipeline, tmp_path, name, content):
     path = tmp_path / "pipe" / name
     path.write_bytes(path.read_bytes()[:100] if content is None else content)
     with pytest.raises(ValueError, match=name):
+        TranslateTestPipeline.load(tmp_path / "pipe")
+
+
+def test_load_names_pipeline_json_for_an_out_of_range_policy(pipeline, tmp_path):
+    pipeline.save(tmp_path / "pipe")
+    path = tmp_path / "pipe" / "pipeline.json"
+    meta = json.loads(path.read_text())
+    meta["freezing"]["mt_fraction"] = 2.0
+    path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=r"pipeline\.json: freezing fractions must be in \[0, 1\]"):
         TranslateTestPipeline.load(tmp_path / "pipe")
 
 
