@@ -11,7 +11,7 @@ import numpy as np
 
 from difftt import autodiff as ad
 from difftt.gradcheck import finite_difference_check
-from difftt.optim import AdamW, AdamWConfig
+from difftt.optim import AdamW, TrainConfig
 from difftt.params import ParamStore
 
 
@@ -34,7 +34,9 @@ def main():
     err = finite_difference_check(loss_fn, store.parameters(), n_coords=100)
     print(f"finite-difference check: max relative error {err:.2e}")
 
-    opt = AdamW(store.parameters(), AdamWConfig(lr=1e-2, weight_decay=0.0))
+    # the loop below steps on every gradient itself: no warmup, no accumulation
+    opt = AdamW(store.parameters(), TrainConfig(lr=1e-2, weight_decay=0.0, warmup_steps=0,
+                                                grad_accum=1))
     for step in range(400):
         store.zero_grad()
         loss = loss_fn()

@@ -12,11 +12,10 @@ from .autodiff import Tensor, no_grad
 from .bridge import expected_embedding
 from .gradcheck import finite_difference_check
 from .metrics import accuracy, corpus_bleu, mean_r_precision, r_precision
-from .mt import MtConfig, MtModel, SoftTranslation, TrainConfig, train_mt
-from .optim import AdamW, AdamWConfig
+from .mt import MtConfig, MtModel, SoftTranslation, train_mt
+from .optim import AdamW, TrainConfig
 from .params import Parameter
-from .pipeline import (FreezingPolicy, TranslateTestPipeline, apply_freezing,
-                       translate_and_train)
+from .pipeline import FreezingPolicy, TranslateTestPipeline, apply_freezing
 from .synthlang import (DatasetBundle, SyntheticLanguageSpec, TaskSpec,
                         degrade_language, gen_classification_dataset,
                         gen_language_pair, oracle_label)

@@ -2,10 +2,9 @@
 
 Subcommands: gen-data, train-mt, train-tc, finetune, evaluate, sweep-bleu,
 report. Every subcommand takes a JSON experiment config (see ExperimentConfig
-for the schema). Environment overrides: DIFFTT_OUTPUT_DIR replaces the
-config's out_dir, DIFFTT_THREADS caps the BLAS thread count. Exit code 0 on
-success; on failure a machine-readable error record is printed to stderr and
-the exit code is nonzero.
+for the schema). Environment override: DIFFTT_OUTPUT_DIR replaces the
+config's out_dir. Exit code 0 on success; on failure a machine-readable error
+record is printed to stderr and the exit code is nonzero.
 """
 
 from __future__ import annotations
@@ -13,16 +12,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-
-
-def _apply_thread_env():
-    threads = os.environ.get("DIFFTT_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
-
-_apply_thread_env()
 
 import click
 

@@ -21,8 +21,9 @@ from pathlib import Path
 
 from .data_io import read_bundle, read_json, write_bundle
 from .metrics import score
-from .mt import MtConfig, MtModel, TrainConfig, evaluate_bleu, train_mt
-from .pipeline import FreezingPolicy, TranslateTestPipeline, translate_and_train
+from .mt import MtConfig, MtModel, evaluate_bleu, train_mt
+from .optim import TrainConfig
+from .pipeline import FreezingPolicy, TranslateTestPipeline, translate_corpus
 from .synthlang import (DatasetBundle, SyntheticLanguageSpec, TaskSpec,
                         degrade_language, gen_classification_dataset)
 from .tc import TcConfig, TcModel, train_tc
@@ -309,9 +310,12 @@ def few_shot_pipeline(config: ExperimentConfig, bundle: DatasetBundle, seed: int
 
 def few_shot_classifier(config: ExperimentConfig, bundle: DatasetBundle, seed: int,
                         budget: int, tc: TcModel, trained: dict) -> TcModel:
-    """The LM and translate-and-train baselines' step: restore ``tc`` to ``trained``
-    and, for ``budget`` > 0, go on training it alone on that pool, as ``train_tc`` does."""
+    """The LM and translate-and-train baselines' step: restore ``tc`` to ``trained``,
+    unfreeze all of it (the pipeline's freezing may have frozen some layers) and, for
+    ``budget`` > 0, go on training it alone on that pool, as ``train_tc`` does."""
     tc.store.load_state(trained)
+    for group in tc.store.groups:
+        tc.store.set_group_frozen(group, False)
     if budget:
         train_tc(tc, bundle.few_shot[budget], bundle.selection_dev,
                  config.train_config("finetune", seed))
@@ -368,10 +372,12 @@ def cmd_evaluate(config: ExperimentConfig, bundle: DatasetBundle | None = None) 
             mt, _ = train_mt_component(config, bundle, vocab, seed)
             trained = (mt.store.state(), tc_state)
         if "translate_train" in methods:
+            # a target-language classifier trained on the translated training data
             reverse_mt, _ = train_mt_component(config, bundle, vocab, seed, reverse=True)
-            tt = translate_and_train(reverse_mt, bundle, tc_seed=seed,
-                                     tc_config=config.tc_config(task),
-                                     train_config=config.train_config("tc", seed))
+            translated = dataclasses.replace(
+                bundle, hr_train=translate_corpus(reverse_mt, bundle.hr_train),
+                hr_dev=translate_corpus(reverse_mt, bundle.hr_dev))
+            tt, _ = train_tc_component(config, translated, vocab, seed)
             tt_state = tt.store.state()
 
         for budget in config.budgets:

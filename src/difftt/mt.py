@@ -19,7 +19,7 @@ from .autodiff import Tensor, no_grad
 from .checkpoint import load_model, save_checkpoint
 from .layers import (DecoderLayer, EncoderLayer, KVCache, append_along, causal_attention_mask,
                      pad_attention_mask)
-from .optim import FitResult, fit
+from .optim import FitResult, TrainConfig, fit
 from .params import ParamStore
 from .vocab import Vocabulary
 
@@ -300,28 +300,6 @@ class MtModel:
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
-
-@dataclass
-class TrainConfig:
-    """Optimization settings; defaults follow the translator fine-tuning recipe
-    (AdamW, lr 3e-5, warmup 500, weight decay 0.01, clip 1.0, accumulation 2,
-    batch 8, 10 epochs). Desk-scale from-scratch runs typically override lr."""
-    epochs: int = 10
-    batch_size: int = 8
-    lr: float = 3e-5
-    warmup_steps: int = 500
-    weight_decay: float = 0.01
-    max_grad_norm: float = 1.0
-    grad_accum: int = 2
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("epochs", "batch_size", "grad_accum"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"TrainConfig.{name}={getattr(self, name)}: must be >= 1")
-        if self.lr < 0:
-            raise ValueError(f"TrainConfig.lr={self.lr}: must be >= 0")
-
 
 class MtTrainResult(FitResult):
     """``fit``'s result; the validation metric is corpus BLEU."""

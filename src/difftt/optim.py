@@ -1,5 +1,6 @@
-"""AdamW with linear warmup, global-norm clipping and gradient accumulation,
-and ``fit``, the one training loop every trainer runs."""
+"""The training recipe (``TrainConfig``), AdamW with linear warmup,
+global-norm clipping and gradient accumulation, and ``fit``, the one training
+loop every trainer runs."""
 
 from __future__ import annotations
 
@@ -9,16 +10,31 @@ import numpy as np
 
 from .params import Parameter, ParamStore
 
+# AdamW's moment decay rates and denominator guard; every stage uses these
+BETAS = (0.9, 0.999)
+EPS = 1e-8
+
 
 @dataclass
-class AdamWConfig:
+class TrainConfig:
+    """Optimization settings; defaults follow the translator fine-tuning recipe
+    (AdamW, lr 3e-5, warmup 500, weight decay 0.01, clip 1.0, accumulation 2,
+    batch 8, 10 epochs). Desk-scale from-scratch runs typically override lr."""
+    epochs: int = 10
+    batch_size: int = 8
     lr: float = 3e-5
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
+    warmup_steps: int = 500
     weight_decay: float = 0.01
-    warmup_steps: int = 0
     max_grad_norm: float = 1.0
-    grad_accum: int = 1
+    grad_accum: int = 2
+    seed: int = 0
+
+    def __post_init__(self):
+        for name in ("epochs", "batch_size", "grad_accum"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"TrainConfig.{name}={getattr(self, name)}: must be >= 1")
+        if self.lr < 0:
+            raise ValueError(f"TrainConfig.lr={self.lr}: must be >= 0")
 
 
 class AdamW:
@@ -28,11 +44,13 @@ class AdamW:
     (plain summation via repeated ``backward()``), then calls ``step()``.
     ``step()`` divides by the number of microbatches summed (``grad_accum``
     unless given, as for a shorter remainder), clips the global norm, and
-    applies the update. Frozen parameters are never touched; their moment
-    accumulators do not exist.
+    applies the update. It reads ``lr``, ``weight_decay``, ``warmup_steps``,
+    ``max_grad_norm`` and ``grad_accum`` from the run's ``TrainConfig``; the
+    betas and eps are ``BETAS`` and ``EPS``. Frozen parameters are never
+    touched; their moment accumulators do not exist.
     """
 
-    def __init__(self, params: list[Parameter], config: AdamWConfig):
+    def __init__(self, params: list[Parameter], config: TrainConfig):
         self.config = config
         self.params = [p for p in params if not p.frozen]
         self.t = 0
@@ -84,32 +102,19 @@ class AdamW:
         self.clip_global_norm()
         lr = self.current_lr()
         self.t += 1
-        b1, b2 = cfg.betas
+        b1, b2 = BETAS
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for p in self.params:
             g = p.grad
             m = self.m[p.name] = b1 * self.m[p.name] + (1 - b1) * g
             v = self.v[p.name] = b2 * self.v[p.name] + (1 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
             p.tensor.data = p.data - lr * update - lr * cfg.weight_decay * p.data
 
     def zero_grad(self):
         for p in self.params:
             p.zero_grad()
-
-    def state(self) -> dict:
-        return {
-            "t": self.t,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
-
-    def load_state(self, state: dict):
-        self.t = int(state["t"])
-        for k in self.m:
-            self.m[k] = np.asarray(state["m"][k], dtype=np.float64).copy()
-            self.v[k] = np.asarray(state["v"][k], dtype=np.float64).copy()
 
 
 @dataclass
@@ -120,7 +125,7 @@ class FitResult:
     checkpoint_paths: list[str] = field(default_factory=list)
 
 
-def fit(stores: list[ParamStore], n: int, batch_loss, evaluate, cfg,
+def fit(stores: list[ParamStore], n: int, batch_loss, evaluate, cfg: TrainConfig,
         checkpoint=None) -> FitResult:
     """Train the non-frozen parameters of ``stores`` on ``n`` samples.
 
@@ -130,13 +135,11 @@ def fit(stores: list[ParamStore], n: int, batch_loss, evaluate, cfg,
     ``cfg.grad_accum`` micro-batches (and of a shorter remainder), scores
     the epoch with ``evaluate() -> float`` and, when given, calls
     ``checkpoint(epoch, metric) -> path``. The stores end at the best-scoring epoch's state (the
-    first one on ties). ``cfg`` is a ``difftt.mt.TrainConfig``.
+    first one on ties). ``cfg`` is the run's ``TrainConfig``, which AdamW reads too.
     """
     if n < 1:
         raise ValueError("empty training set: fit needs at least one sample")
-    opt = AdamW([p for store in stores for p in store.trainable()], AdamWConfig(
-        lr=cfg.lr, weight_decay=cfg.weight_decay, warmup_steps=cfg.warmup_steps,
-        max_grad_norm=cfg.max_grad_norm, grad_accum=cfg.grad_accum))
+    opt = AdamW([p for store in stores for p in store.trainable()], cfg)
     rng = np.random.default_rng(cfg.seed)
     result = FitResult()
     best_metric, best_states = -1.0, None

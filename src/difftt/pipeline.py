@@ -1,7 +1,8 @@
 """Composition of translator and classifier, plus the training strategies:
 zero-shot transfer, joint end-to-end few-shot fine-tuning with layer freezing,
 the hard-argmax comparison path, and the translate-and-train baseline's
-classifier (the direct-classifier baseline is the classifier itself).
+translation of the classifier's training data (the direct-classifier
+baseline is the classifier itself).
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import numpy as np
 from . import autodiff as ad
 from .data_io import read_json
 from .metrics import score
-from .mt import MtConfig, MtModel, TrainConfig, _pad_batch
-from .optim import FitResult, fit
-from .tc import Prediction, TcConfig, TcModel, labels_to_matrix, train_tc
+from .mt import MtConfig, MtModel, _pad_batch
+from .optim import FitResult, TrainConfig, fit
+from .tc import Prediction, TcModel, labels_to_matrix
 from .vocab import Vocabulary, assert_alignment
 
 
@@ -276,18 +277,3 @@ def translate_corpus(reverse_mt: MtModel, samples) -> list:
         toks = vocab.decode([t for t in seq if t != vocab.eos_id])
         out.append((toks, label))
     return out
-
-
-def translate_and_train(reverse_mt: MtModel, bundle, tc_seed: int = 0,
-                        tc_config=None, train_config: TrainConfig | None = None) -> TcModel:
-    """Translate the high-resource training/validation data into the target
-    language and train a dedicated target-language classifier (one per task
-    and language). The harness fine-tunes it on target-language shots as it
-    does the direct classifier."""
-    tt_train = translate_corpus(reverse_mt, bundle.hr_train)
-    tt_dev = translate_corpus(reverse_mt, bundle.hr_dev)
-    model = TcModel(reverse_mt.vocab, tc_config or TcConfig(
-        n_classes=bundle.task.n_classes,
-        multi_label=bundle.task.kind == "multi_label"), seed=tc_seed)
-    train_tc(model, tt_train, tt_dev, train_config)
-    return model

@@ -20,8 +20,8 @@ from .autodiff import Tensor, no_grad
 from .checkpoint import load_model, save_checkpoint
 from .layers import EncoderLayer
 from .metrics import score
-from .mt import TrainConfig, _pad_batch
-from .optim import FitResult, fit
+from .mt import _pad_batch
+from .optim import FitResult, TrainConfig, fit
 from .params import ParamStore
 from .vocab import Vocabulary
 

@@ -261,19 +261,47 @@ def test_sweep_writes_an_undefined_correlation_as_null(tmp_path, monkeypatch):
 
 def test_translate_train_uses_the_configured_classifier(tmp_path, monkeypatch):
     built = []
-    original = harness.translate_and_train
+    original = harness.train_tc_component
 
     def recording(*args, **kwargs):
-        model = original(*args, **kwargs)
+        model, result = original(*args, **kwargs)
         built.append(model.config)
-        return model
+        return model, result
 
-    monkeypatch.setattr(harness, "translate_and_train", recording)
+    monkeypatch.setattr(harness, "train_tc_component", recording)
     cfg = tiny_config(tmp_path, methods=["translate_train"], budgets=[0, 10])
     report = cmd_evaluate(cfg)
     assert {r["method"] for r in report.rows} == {"translate_train"}
     # one classifier per seed: each budget fine-tunes a restored copy of it
     assert [(c.d_model, c.n_layers, c.d_ff, c.max_len) for c in built] == [(16, 1, 32, 18)]
+
+
+def test_lm_baseline_trains_the_same_with_or_without_the_pipeline(tmp_path, monkeypatch):
+    # the pipeline method freezes the classifier's top layers; the LM baseline,
+    # which restores that classifier for the next budget, must still train all of it
+    runs, calls = {}, []  # calls: (trainable names, values after training) per train_tc
+    original = harness.train_tc
+
+    def recording(model, *args, **kwargs):
+        trainable = [p.name for p in model.store.trainable()]
+        result = original(model, *args, **kwargs)
+        calls.append((trainable, model.store.state()))
+        return result
+
+    monkeypatch.setattr(harness, "train_tc", recording)
+    for methods in (["lm"], ["lm", "pipeline"]):
+        cfg = tiny_config(tmp_path / "+".join(methods), methods=methods, budgets=[0, 10])
+        rows = [{k: v for k, v in r.items() if k != "ms_per_sample"}
+                for r in cmd_evaluate(cfg).rows if r["method"] == "lm"]
+        runs["+".join(methods)] = rows, calls[:]
+        calls.clear()
+    (lm_rows, lm_calls), (both_rows, both_calls) = runs["lm"], runs["lm+pipeline"]
+    assert lm_rows == both_rows
+    # train_tc runs for the trained classifier, then for the LM baseline at k=10
+    assert len(lm_calls) == len(both_calls) == 2
+    for (names, state), (both_names, both_state) in zip(lm_calls, both_calls):
+        assert names == both_names == list(state)
+        assert all(np.array_equal(state[n], both_state[n]) for n in names)
 
 
 def test_report_detects_tampered_averages(tmp_path):

@@ -1,13 +1,16 @@
 """Optimizer semantics: hand-computed single-step oracle, warmup schedule,
-clipping, accumulation averaging, the frozen-parameter contract, and the
-``fit`` loop's accumulation and best-epoch restore."""
+clipping, accumulation averaging, the frozen-parameter contract, the
+``fit`` loop's accumulation and best-epoch restore, and the effect of every
+``TrainConfig`` field."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from difftt import autodiff as ad
 from difftt.mt import TrainConfig
-from difftt.optim import AdamW, AdamWConfig, fit
+from difftt.optim import BETAS, EPS, AdamW, fit
 from difftt.params import Parameter, ParamStore
 
 
@@ -22,11 +25,11 @@ def set_grad(p, g):
 
 def test_single_step_matches_hand_computation():
     # one step of AdamW from zero moments, no warmup, no clipping
-    lr, wd, b1, b2, eps = 0.1, 0.01, 0.9, 0.999, 1e-8
+    lr, wd, (b1, b2), eps = 0.1, 0.01, BETAS, EPS
     x0, g = 2.0, 0.5
     p = make_param([x0])
-    opt = AdamW([p], AdamWConfig(lr=lr, betas=(b1, b2), eps=eps, weight_decay=wd,
-                                 max_grad_norm=0.0))
+    opt = AdamW([p], TrainConfig(lr=lr, weight_decay=wd, max_grad_norm=0.0,
+                                 warmup_steps=0, grad_accum=1))
     set_grad(p, [g])
     opt.step()
     m = (1 - b1) * g
@@ -39,7 +42,8 @@ def test_single_step_matches_hand_computation():
 
 def test_zero_grad_step_only_decays():
     p = make_param([3.0])
-    opt = AdamW([p], AdamWConfig(lr=0.1, weight_decay=0.5, max_grad_norm=0.0))
+    opt = AdamW([p], TrainConfig(lr=0.1, weight_decay=0.5, max_grad_norm=0.0,
+                                 warmup_steps=0, grad_accum=1))
     set_grad(p, [0.0])
     opt.step()
     assert abs(float(p.data[0]) - 3.0 * (1 - 0.1 * 0.5)) < 1e-15
@@ -49,7 +53,7 @@ def test_frozen_parameter_never_updates():
     frozen = make_param([1.0, 2.0], name="fz", frozen=True)
     live = make_param([1.0, 2.0], name="lv")
     before = frozen.data.copy()
-    opt = AdamW([frozen, live], AdamWConfig(lr=0.1))
+    opt = AdamW([frozen, live], TrainConfig(lr=0.1, warmup_steps=0, grad_accum=1))
     set_grad(live, [1.0, -1.0])
     set_grad(frozen, [5.0, 5.0])  # even with a gradient present
     for _ in range(10):
@@ -61,14 +65,14 @@ def test_frozen_parameter_never_updates():
 
 def test_missing_gradient_raises():
     p = make_param([1.0])
-    opt = AdamW([p], AdamWConfig())
+    opt = AdamW([p], TrainConfig(warmup_steps=0, grad_accum=1))
     with pytest.raises(ValueError, match="missing gradient"):
         opt.step()
 
 
 def test_warmup_schedule_linear_then_constant():
     p = make_param([0.0])
-    opt = AdamW([p], AdamWConfig(lr=1.0, warmup_steps=4))
+    opt = AdamW([p], TrainConfig(lr=1.0, warmup_steps=4, grad_accum=1))
     lrs = []
     for _ in range(6):
         lrs.append(opt.current_lr())
@@ -80,7 +84,7 @@ def test_warmup_schedule_linear_then_constant():
 def test_global_norm_clipping():
     a = make_param([0.0], name="a")
     b = make_param([0.0, 0.0], name="b")
-    opt = AdamW([a, b], AdamWConfig(max_grad_norm=1.0))
+    opt = AdamW([a, b], TrainConfig(max_grad_norm=1.0, warmup_steps=0, grad_accum=1))
     set_grad(a, [3.0])
     set_grad(b, [0.0, 4.0])
     norm = opt.clip_global_norm()
@@ -93,7 +97,7 @@ def test_global_norm_clipping():
 
 def test_clipping_noop_below_threshold():
     p = make_param([0.0])
-    opt = AdamW([p], AdamWConfig(max_grad_norm=10.0))
+    opt = AdamW([p], TrainConfig(max_grad_norm=10.0, warmup_steps=0, grad_accum=1))
     set_grad(p, [0.5])
     opt.clip_global_norm()
     assert p.grad[0] == 0.5
@@ -103,7 +107,7 @@ def test_grad_accum_divides_before_clip():
     # two accumulated microbatches of gradient 1.0 each behave like one of 1.0
     def run(accum, grads):
         p = make_param([1.0])
-        opt = AdamW([p], AdamWConfig(lr=0.1, grad_accum=accum, weight_decay=0.0))
+        opt = AdamW([p], TrainConfig(lr=0.1, grad_accum=accum, weight_decay=0.0, warmup_steps=0))
         g = np.zeros(1)
         for val in grads:
             g = g + val
@@ -114,56 +118,37 @@ def test_grad_accum_divides_before_clip():
     assert run(2, [1.0, 1.0]) == pytest.approx(run(1, [1.0]))
 
 
-def test_determinism_and_state_roundtrip():
-    def train(steps, reload_at=None):
+def test_determinism():
+    def train(steps):
         p = make_param(np.linspace(-1, 1, 5))
-        opt = AdamW([p], AdamWConfig(lr=0.05, weight_decay=0.01))
+        opt = AdamW([p], TrainConfig(lr=0.05, weight_decay=0.01, warmup_steps=0, grad_accum=1))
         rng = np.random.default_rng(7)
-        saved = None
-        for t in range(steps):
+        for _ in range(steps):
             set_grad(p, rng.normal(size=5))
             opt.step()
-            if reload_at is not None and t == reload_at:
-                saved = (p.data.copy(), opt.state())
-        return p.data.copy(), saved
+        return p.data.copy()
 
-    a, _ = train(10)
-    b, _ = train(10)
-    assert np.array_equal(a, b)
-
-    # resume from a mid-run snapshot and land on identical values
-    _, (values, state) = train(10, reload_at=4)
-    p = make_param(values)
-    opt = AdamW([p], AdamWConfig(lr=0.05, weight_decay=0.01))
-    opt.load_state(state)
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        rng.normal(size=5)
-    for _ in range(5):
-        set_grad(p, rng.normal(size=5))
-        opt.step()
-    assert np.array_equal(p.data, a)
+    assert np.array_equal(train(10), train(10))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_gradient_raises_before_any_update(bad):
     p = make_param([1.0, 2.0], name="w")
     q = make_param([3.0], name="u")
-    opt = AdamW([p, q], AdamWConfig(lr=0.1, max_grad_norm=1.0))
+    opt = AdamW([p, q], TrainConfig(lr=0.1, max_grad_norm=1.0, warmup_steps=0, grad_accum=1))
     set_grad(p, [0.5, -0.5])
     set_grad(q, [0.1])
     opt.step()
-    before = opt.state(), p.data.copy(), q.data.copy()
+    moments = {name: (opt.m[name].copy(), opt.v[name].copy()) for name in opt.m}
+    values = p.data.copy(), q.data.copy()
     set_grad(p, [0.5, bad])
     set_grad(q, [0.1])
     with pytest.raises(FloatingPointError, match=r"step 2.*'?w'?"):
         opt.step()
-    after = opt.state()
-    assert after["t"] == before[0]["t"] == 1
-    for k in ("m", "v"):
-        for name in after[k]:
-            assert np.array_equal(after[k][name], before[0][k][name])
-    assert np.array_equal(p.data, before[1]) and np.array_equal(q.data, before[2])
+    assert opt.t == 1 and opt.m.keys() == opt.v.keys() == moments.keys()
+    for name, (m, v) in moments.items():
+        assert np.array_equal(opt.m[name], m) and np.array_equal(opt.v[name], v)
+    assert np.array_equal(p.data, values[0]) and np.array_equal(q.data, values[1])
 
 
 def one_param_store(values) -> ParamStore:
@@ -245,3 +230,36 @@ def test_fit_restores_every_store_to_the_best_epoch():
     # training moved on after epoch 1, so the restore is what put them back
     for store, last in zip((a, b), snapshots[2]):
         assert not np.array_equal(store["w"].data, last["w"])
+
+
+# A base run and, per TrainConfig field, a value that differs from it. A field
+# added to TrainConfig without a row here fails the test below.
+BASE_RUN = dict(epochs=2, batch_size=2, lr=0.05, warmup_steps=2, weight_decay=0.1,
+                max_grad_norm=1.0, grad_accum=2, seed=0)
+FIELD_CHANGES = dict(epochs=3, batch_size=3, lr=0.02, warmup_steps=0, weight_decay=0.0,
+                     max_grad_norm=0.0, grad_accum=1, seed=1)
+
+
+def fit_least_squares(cfg: TrainConfig) -> np.ndarray:
+    """The weights ``fit`` trains under ``cfg`` on a 7-sample least-squares problem."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(7, 2))
+    y = x @ np.asarray([[3.0], [-2.0]]) + rng.normal(scale=0.1, size=(7, 1))
+    store = one_param_store([[1.0], [-1.0]])
+
+    def batch_loss(idx):
+        diff = ad.sub(ad.matmul(ad.Tensor(x[idx]), store["w"].tensor), ad.Tensor(y[idx]))
+        return ad.mean_all(ad.mul(diff, diff))
+
+    epoch = iter(range(cfg.epochs))  # each epoch scores higher, so the last is kept
+    fit([store], len(x), batch_loss, lambda: float(next(epoch)), cfg)
+    return store["w"].data
+
+
+def test_every_train_config_field_changes_the_trained_parameters():
+    assert FIELD_CHANGES.keys() == BASE_RUN.keys() == \
+        {f.name for f in dataclasses.fields(TrainConfig)}
+    base = fit_least_squares(TrainConfig(**BASE_RUN))
+    for name, value in FIELD_CHANGES.items():
+        changed = fit_least_squares(TrainConfig(**{**BASE_RUN, name: value}))
+        assert not np.array_equal(changed, base), f"TrainConfig.{name} has no effect"
