@@ -23,17 +23,17 @@ ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "pipeline"
 
 
-def differences(built: Path, reference: Path = REFERENCE) -> list[str]:
-    """What differs between the pipeline directories ``built`` and ``reference``."""
+def differences(built: Path) -> list[str]:
+    """What differs between the pipeline directory ``built`` and ``REFERENCE``."""
     from difftt.checkpoint import load_checkpoint
 
     found = []
     for name in ("pipeline.json", "vocab.txt"):
-        if (built / name).read_bytes() != (reference / name).read_bytes():
+        if (built / name).read_bytes() != (REFERENCE / name).read_bytes():
             found.append(f"{name}: the bytes differ")
     for name in ("mt.npz", "tc.npz"):
         values, frozen, extra = load_checkpoint(built / name)
-        ref_values, ref_frozen, ref_extra = load_checkpoint(reference / name)
+        ref_values, ref_frozen, ref_extra = load_checkpoint(REFERENCE / name)
         if list(values) != list(ref_values):
             found.append(f"{name}: parameter names differ")
             continue
