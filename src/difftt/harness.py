@@ -23,7 +23,7 @@ from .data_io import read_bundle, read_json, write_bundle
 from .metrics import score
 from .mt import MtConfig, MtModel, evaluate_bleu, train_mt
 from .optim import TrainConfig
-from .pipeline import FreezingPolicy, TranslateTestPipeline, translate_corpus
+from .pipeline import FreezingPolicy, TranslateTestPipeline, check_lengths, translate_corpus
 from .synthlang import (DatasetBundle, SyntheticLanguageSpec, TaskSpec,
                         degrade_language, gen_classification_dataset)
 from .tc import TcConfig, TcModel, train_tc
@@ -73,9 +73,9 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """A config from plain data. An unknown key, at the top level, in an
         override section or in ``sweep``, a training section's ``seed`` (the
-        run seeds set it), an out-of-range translator, training or freezing
-        setting, an empty ``seeds`` and a repeated seed or budget raise
-        ``ValueError``."""
+        run seeds set it), an out-of-range model, training or freezing setting,
+        a classifier too short for the translator's decodes, an empty
+        ``seeds`` and a repeated seed or budget raise ``ValueError``."""
         unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -92,10 +92,10 @@ class ExperimentConfig:
                 raise ValueError(f"unknown keys in config section {section!r}: "
                                  f"{sorted(unknown)}; it takes {sorted(known)}{why}")
         config = cls(**data)
-        # build the translator, training and freezing configs once, so that a
-        # value out of range fails here, before any data is generated or model trained
+        # build the model, training and freezing configs once, so that a value
+        # out of range fails here, before any data is generated or model trained
         try:
-            MtConfig(**config.mt_model)
+            check_lengths(MtConfig(**config.mt_model), config.tc_config(config.task_spec()))
             for which in ("mt", "tc", "finetune"):
                 config.train_config(which, seed=0)
             config.freezing_policy()

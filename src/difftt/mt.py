@@ -40,6 +40,12 @@ class MtConfig:
             raise ValueError(f"MtConfig.dropout={self.dropout}: the translator has no dropout")
         if not self.temperature > 0:
             raise ValueError(f"MtConfig.temperature={self.temperature}: must be > 0")
+        for name in ("n_heads", "max_source_len", "max_decode_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"MtConfig.{name}={getattr(self, name)}: must be >= 1")
+        if self.d_model % self.n_heads:
+            raise ValueError(f"MtConfig.d_model={self.d_model}: must be divisible by "
+                             f"n_heads={self.n_heads}")
 
 
 @dataclass
@@ -167,20 +173,37 @@ class MtModel:
 
         A step's token is the argmax of its distribution (ties break to the
         lowest index, as np.argmax does), so argmax(probs) == tokens holds by
-        construction. Rows that emitted EOS stay in the batch and are fed PAD,
-        which stays masked as a key. ``keep_probs`` keeps the distributions.
+        construction. The rows run in blocks of ``BLOCK_ROWS``, each block
+        encoded and decoded on its own with the batch's source padding; a
+        block stops once its own rows have all emitted EOS, so a row that
+        never does costs only its block the full budget. Within a block, rows
+        that emitted EOS are fed PAD, which stays masked as a key. Every
+        row's arithmetic is that of a one-block decode, so the outputs are
+        bitwise equal to it. ``keep_probs`` keeps the distributions.
         """
-        with no_grad():
-            memory, cross_mask = self.encode(src_ids)
-        steps, dists = self._greedy_steps(memory, cross_mask, keep_probs)
-        tokens = np.stack(steps, axis=1)
+        src_ids = np.asarray(src_ids)
+        blocks = []
+        for rows in _row_blocks(len(src_ids)):
+            with no_grad():
+                memory, cross_mask = self.encode(src_ids[rows])
+            steps, dists = self._greedy_steps(memory, cross_mask, keep_probs)
+            blocks.append((rows, np.stack(steps, axis=1),
+                           np.stack(dists, axis=1) if keep_probs else None))
+            del memory, cross_mask, steps, dists  # before the next block's encode
+        m = max(block_tokens.shape[1] for _, block_tokens, _ in blocks)
+        # a block that stopped early has every row's EOS, so PAD past it is never read
+        tokens = np.full((len(src_ids), m), self.vocab.pad_id, dtype=np.int64)
+        for rows, block_tokens, _ in blocks:
+            tokens[rows, :block_tokens.shape[1]] = block_tokens
         is_eos = tokens == self.vocab.eos_id
-        lengths = np.where(is_eos.any(axis=1), is_eos.argmax(axis=1) + 1, tokens.shape[1])
+        lengths = np.where(is_eos.any(axis=1), is_eos.argmax(axis=1) + 1, m)
         out = GreedyDecode(tokens[i, :n] for i, n in enumerate(lengths))
         out.lengths = lengths
         if keep_probs:
-            out.probs = np.stack(dists, axis=1)
-            past = np.arange(tokens.shape[1])[None, :] >= lengths[:, None]
+            out.probs = np.empty((len(src_ids), m, len(self.vocab)))
+            for rows, _, block_probs in blocks:
+                out.probs[rows, :block_probs.shape[1]] = block_probs
+            past = np.arange(m)[None, :] >= lengths[:, None]
             out.probs[past] = np.eye(len(self.vocab))[self.vocab.pad_id]
         return out
 
@@ -315,7 +338,24 @@ def _through_eos(tokens: np.ndarray, eos_id: int) -> np.ndarray:
     return tokens[:hits[0] + 1] if hits.size else tokens
 
 
+# Rows that a gradient-free batch path (greedy decoding, classification)
+# runs at once. Blocks keep the whole batch's padding, so every row's
+# arithmetic, and with it every output float, is independent of this value;
+# only peak memory and speed depend on it.
+BLOCK_ROWS = 64
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of at most ``BLOCK_ROWS`` consecutive rows covering ``n`` rows;
+    an empty batch raises ``ValueError``."""
+    if n == 0:
+        raise ValueError("empty batch: a batch needs at least one row")
+    return [slice(i, min(i + BLOCK_ROWS, n)) for i in range(0, n, BLOCK_ROWS)]
+
+
 def _pad_batch(seqs: list[list[int]], pad_id: int) -> np.ndarray:
+    if not seqs:
+        raise ValueError("empty batch: a batch needs at least one row")
     m = max(len(s) for s in seqs)
     out = np.full((len(seqs), m), pad_id, dtype=np.int64)
     for i, s in enumerate(seqs):

@@ -21,7 +21,7 @@ from .data_io import read_json
 from .metrics import score
 from .mt import MtConfig, MtModel, _pad_batch
 from .optim import FitResult, TrainConfig, fit
-from .tc import Prediction, TcModel, labels_to_matrix
+from .tc import Prediction, TcConfig, TcModel, labels_to_matrix
 from .vocab import Vocabulary, assert_alignment
 
 
@@ -56,14 +56,20 @@ class _Translation:
                 and all(np.array_equal(v, store[n].data) for n, v in self.params.items()))
 
 
+def check_lengths(mt_config: MtConfig, tc_config: TcConfig):
+    """Raise ``ValueError`` unless the classifier holds, after CLS, every step
+    the translator may decode."""
+    if tc_config.max_len - 1 < mt_config.max_decode_len:
+        raise ValueError(f"classifier max_len {tc_config.max_len} leaves "
+                         f"{tc_config.max_len - 1} steps after CLS, fewer than the "
+                         f"translator's max_decode_len {mt_config.max_decode_len}")
+
+
 class TranslateTestPipeline:
     def __init__(self, mt: MtModel, tc: TcModel,
                  freezing: FreezingPolicy | None = None):
         assert_alignment(mt.vocab, tc.vocab)
-        if tc.config.max_len - 1 < mt.config.max_decode_len:
-            raise ValueError(f"classifier max_len {tc.config.max_len} leaves "
-                             f"{tc.config.max_len - 1} steps after CLS, fewer than the "
-                             f"translator's max_decode_len {mt.config.max_decode_len}")
+        check_lengths(mt.config, tc.config)
         self.mt = mt
         self.tc = tc
         self.vocab: Vocabulary = mt.vocab

@@ -20,7 +20,7 @@ from .autodiff import Tensor, no_grad
 from .checkpoint import load_model, save_checkpoint
 from .layers import EncoderLayer
 from .metrics import score
-from .mt import _pad_batch
+from .mt import _pad_batch, _row_blocks
 from .optim import FitResult, TrainConfig, fit
 from .params import ParamStore
 from .vocab import Vocabulary
@@ -35,6 +35,14 @@ class TcConfig:
     max_len: int = 34          # CLS + translation incl. its EOS step
     n_classes: int = 3         # classes (multi-class) or labels (multi-label)
     multi_label: bool = False
+
+    def __post_init__(self):
+        for name, low in (("n_classes", 1), ("max_len", 2), ("n_layers", 0), ("n_heads", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"TcConfig.{name}={getattr(self, name)}: must be >= {low}")
+        if self.d_model % self.n_heads:
+            raise ValueError(f"TcConfig.d_model={self.d_model}: must be divisible by "
+                             f"n_heads={self.n_heads}")
 
 
 class Prediction:
@@ -105,11 +113,12 @@ class TcModel:
     # forward passes
     # ------------------------------------------------------------------
 
-    def _forward_embedded(self, body: Tensor, lengths: np.ndarray) -> Tensor:
+    def _forward_embedded(self, body: Tensor, lengths: np.ndarray, head: bool = True) -> Tensor:
         """The one encoder pass of every input path. body: (B, T, d) input
         embeddings without CLS; lengths: (B,) valid steps per row. Prepends
         the CLS embedding, adds positions and masks each row past CLS plus
-        its length."""
+        its length. Returns the logits (B, C), or without ``head`` the pooled
+        features (B, d) that the head reads."""
         b, t = body.shape[0], body.shape[1] + 1
         if t > self.config.max_len:
             raise ValueError(f"input of {t - 1} steps plus CLS exceeds max_len "
@@ -122,7 +131,19 @@ class TcModel:
             x = layer(x, mask)
         x = ad.layer_norm(x, self.final_ln[0].tensor, self.final_ln[1].tensor)
         pooled = ad.masked_mean_pool(x, valid)
-        return ad.affine(pooled, self.head[0].tensor, self.head[1].tensor)
+        return ad.affine(pooled, self.head[0].tensor, self.head[1].tensor) if head else pooled
+
+    def _blocked_logits(self, body_of, lengths: np.ndarray) -> np.ndarray:
+        """Gradient-free logits: the encoder runs on blocks of ``mt.BLOCK_ROWS``
+        rows, ``body_of(rows)`` giving a block's input embeddings, and the
+        head once on every row's pooled features. A 2-D GEMM's rows depend on
+        its row count, so one head GEMM keeps the logits bitwise those of a
+        one-block pass; every other op works row by row."""
+        with no_grad():
+            pooled = np.concatenate([self._forward_embedded(body_of(rows), lengths[rows],
+                                                            head=False).data
+                                     for rows in _row_blocks(len(lengths))])
+            return ad.affine(Tensor(pooled), self.head[0].tensor, self.head[1].tensor).data
 
     def logits_tokens(self, ids: np.ndarray, lengths: np.ndarray) -> Tensor:
         """Batched token-path logits. ids: (B, T) PAD-padded, CLS not prepended."""
@@ -137,26 +158,28 @@ class TcModel:
 
     def classify_tokens(self, ids) -> Prediction:
         """Classify one token-id sequence (the baseline/hard path)."""
-        ids = [int(i) for i in ids]
-        if not ids:
-            raise ValueError("empty input sequence")
-        if any(i < 0 or i >= len(self.vocab) for i in ids):
-            raise ValueError("token id out of vocabulary range")
-        return self.classify_tokens_batch([ids])[0]
+        return self.classify_tokens_batch([[int(i) for i in ids]])[0]
 
     def classify_tokens_batch(self, seqs: list[list[int]]) -> list[Prediction]:
-        """Token-path predictions; each sequence is cut to max_len - 1 tokens."""
+        """Token-path predictions, in row blocks at the batch's padded length;
+        each sequence is cut to max_len - 1 tokens. An empty row or an id
+        outside the vocabulary raises ``ValueError``."""
         seqs = [s[: self.config.max_len - 1] for s in seqs]
-        with no_grad():
-            logits = self.logits_tokens(_pad_batch(seqs, self.vocab.pad_id),
-                                        np.asarray([len(s) for s in seqs]))
-        return self._predictions(logits.data)
+        ids = _pad_batch(seqs, self.vocab.pad_id)
+        lengths = np.asarray([len(s) for s in seqs])
+        if not lengths.all():
+            raise ValueError(f"empty input sequence in row {int(np.argmin(lengths))}")
+        if ids.min() < 0 or ids.max() >= len(self.vocab):
+            raise ValueError("token id out of vocabulary range")
+        return self._predictions(self._blocked_logits(
+            lambda rows: ad.embedding(self.emb.tensor, ids[rows]), lengths))
 
     def classify_soft_values(self, probs: np.ndarray, lengths: np.ndarray) -> list[Prediction]:
-        """Gradient-free `logits_soft` predictions for evaluation."""
-        with no_grad():
-            logits = self.logits_soft(Tensor(probs), lengths)
-        return self._predictions(logits.data)
+        """Gradient-free `logits_soft` predictions for evaluation, in row
+        blocks at the batch's step count."""
+        return self._predictions(self._blocked_logits(
+            lambda rows: bridge.expected_embedding(Tensor(probs[rows]), self.emb.tensor),
+            np.asarray(lengths)))
 
     def _predictions(self, logits: np.ndarray) -> list[Prediction]:
         """One Prediction per row of a (B, C) logits array; the rows share

@@ -101,6 +101,11 @@ def test_config_checks_sweep_keys(tmp_path):
     ({"seeds": [1, 2, 1]}, r"seeds \[1, 2, 1\] repeat"),
     ({"budgets": [0, 10, 10]}, r"budgets \[0, 10, 10\] repeat"),
     ({"sweep": {"budgets": [0, 0]}}, r"sweep budgets \[0, 0\] repeat"),
+    ({"tc_model": {"max_len": 10}}, "classifier max_len 10 leaves 9 steps after CLS, fewer "
+                                    "than the translator's max_decode_len 32"),
+    ({"tc_model": {"n_classes": 0}}, "TcConfig.n_classes=0"),
+    ({"mt_model": {"n_heads": 3}}, "MtConfig.d_model=64: must be divisible by n_heads=3"),
+    ({"mt_model": {"max_decode_len": 0}}, "MtConfig.max_decode_len=0"),
 ])
 def test_config_rejects_out_of_range_settings(tmp_path, data, match):
     with pytest.raises(ValueError, match=match):

@@ -1,6 +1,9 @@
 """Translator behavior: decode contracts, soft/greedy agreement, causality,
-the cached decode against a full-prefix recompute, a learnable copy task, and
-checkpoint reload."""
+the cached decode against a full-prefix recompute, decoding and classifying
+in row blocks, a learnable copy task, and checkpoint reload."""
+
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from difftt import autodiff as ad
+from difftt import mt as mt_module
 from difftt.autodiff import Tensor, no_grad
 from difftt.metrics import corpus_bleu
 from difftt.mt import MtConfig, MtModel, TrainConfig, evaluate_bleu, train_mt, _pad_batch
+from difftt.tc import TcConfig, TcModel
 from difftt.vocab import SPECIALS, Vocabulary
 
 from conftest import micro_mt, micro_vocab
@@ -371,3 +376,133 @@ def test_soft_decode_rejects_malformed_drafts(model, vocab):
                          ([5] * (budget + 1), "exceeds max_decode_len")]:
         with pytest.raises(ValueError, match=match):
             model.soft_decode(src, draft=draft)
+
+
+# ---------------------------------------------------------------------------
+# config ranges, empty batches
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("overrides,match", [
+    ({"n_heads": 3}, "d_model=64: must be divisible by n_heads=3"),
+    ({"n_heads": 0}, "n_heads=0: must be >= 1"),
+    ({"max_source_len": 0}, "max_source_len=0: must be >= 1"),
+    ({"max_decode_len": 0}, "max_decode_len=0: must be >= 1"),
+])
+def test_mt_config_out_of_range_rejected(overrides, match):
+    with pytest.raises(ValueError, match=f"MtConfig.{match}"):
+        MtConfig(**overrides)
+
+
+def test_empty_batch_rejected_by_name(model):
+    with pytest.raises(ValueError, match="empty batch"):
+        _pad_batch([], model.vocab.pad_id)
+    for src in (np.zeros((0, 3), dtype=np.int64), []):
+        with pytest.raises(ValueError, match="empty batch"):
+            model.greedy_decode_batch(src)
+        with pytest.raises(ValueError, match="empty batch"):
+            model.soft_decode_values(src)
+
+
+# ---------------------------------------------------------------------------
+# decoding and classifying in row blocks
+# ---------------------------------------------------------------------------
+
+PROP_TC = TcModel(PROP_VOCAB, TcConfig(d_model=16, n_layers=2, n_heads=2, d_ff=32,
+                                       max_len=PROP_CONFIG.max_decode_len + 2, n_classes=3),
+                  seed=2)
+
+
+def blocked_outputs(model, seqs, block_rows):
+    """Tokens, lengths and probs of a soft decode, then soft-path logits over
+    them and token-path logits over the sources, with ``block_rows`` rows per
+    block."""
+    with patch.object(mt_module, "BLOCK_ROWS", block_rows):
+        probs, tokens, lengths = model.soft_decode_values(_pad_batch(seqs, model.vocab.pad_id))
+        soft = PROP_TC.classify_soft_values(probs, lengths)
+        hard = PROP_TC.classify_tokens_batch(seqs)
+    return (tokens, lengths, probs, np.stack([p.logits for p in soft]),
+            np.stack([p.logits for p in hard]))
+
+
+@pytest.mark.parametrize("seed", sorted(PROP_MODELS))
+@settings(max_examples=15, deadline=None)
+@given(seqs=st.lists(st.lists(st.integers(5, len(PROP_VOCAB) - 1), min_size=1,
+                              max_size=PROP_CONFIG.max_source_len),
+                     min_size=1, max_size=10))
+def test_blocked_runs_equal_one_block_bitwise(seed, seqs):
+    # 1-10 ragged rows in blocks of 3: below, at and across the block size
+    tokens, lengths, probs, soft, hard = blocked_outputs(PROP_MODELS[seed], seqs, 3)
+    want = blocked_outputs(PROP_MODELS[seed], seqs, len(seqs))
+    assert [t.tolist() for t in tokens] == [t.tolist() for t in want[0]]
+    assert np.array_equal(lengths, want[1])
+    assert probs.shape == want[2].shape
+    for got, ref in zip((probs, soft, hard), want[2:]):
+        assert got.tobytes() == ref.tobytes()
+
+
+def decode_work_per_call(model, src, block_rows):
+    """The rows each ``decode_logits`` call of a greedy decode receives, and
+    the decode."""
+    rows = []
+    original = model.decode_logits
+    model.decode_logits = lambda memory, mask, tgt_in, cache: \
+        rows.append(len(tgt_in)) or original(memory, mask, tgt_in, cache)
+    try:
+        with patch.object(mt_module, "BLOCK_ROWS", block_rows):
+            decoded = model.greedy_decode_batch(src)
+    finally:
+        del model.decode_logits
+    return rows, decoded
+
+
+def test_a_runaway_row_costs_only_its_block():
+    # an untrained property model: some rows emit EOS early, some never do
+    model = PROP_MODELS[4]
+    budget = model.config.max_decode_len
+    rng = np.random.default_rng(0)
+    pool = rng.integers(5, len(PROP_VOCAB), size=(200, 4))
+    lengths = model.greedy_decode_batch(pool).lengths
+    early = pool[lengths <= budget // 2][:3]
+    runaway = pool[lengths == budget][:1]
+    others = pool[lengths < budget][3:5]
+    assert len(early) == 3 and len(runaway) == 1 and len(others) == 2
+    src = np.concatenate([early, runaway, others])
+
+    rows, decoded = decode_work_per_call(model, src, 3)
+    early_steps = int(decoded.lengths[:3].max())
+    # the first block stops at its own last EOS, the second runs the budget
+    assert rows == [3] * early_steps + [3] * budget
+    assert early_steps <= budget // 2
+    # one block pays the runaway row's budget for every row
+    one_rows, one_decoded = decode_work_per_call(model, src, len(src))
+    assert one_rows == [6] * budget
+    assert [t.tolist() for t in decoded] == [t.tolist() for t in one_decoded]
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluation_memory_is_bounded_by_the_block(vocab, monkeypatch):
+    # long sources and wide layers: a block's activations outweigh the outputs
+    big = MtModel(vocab, MtConfig(d_model=32, n_layers=1, n_heads=4, d_ff=256,
+                                  max_source_len=32, max_decode_len=4), seed=0)
+    tc = TcModel(vocab, TcConfig(d_model=32, n_layers=1, n_heads=4, d_ff=256, max_len=33),
+                 seed=0)
+    monkeypatch.setattr(mt_module, "BLOCK_ROWS", 4)
+    src = np.random.default_rng(0).integers(5, len(vocab), size=(8 * 4, 32))
+
+    def run(n):
+        probs, _, lengths = big.soft_decode_values(src[:n])
+        tc.classify_soft_values(probs, lengths)
+        tc.classify_tokens_batch([list(s) for s in src[:n]])
+
+    run(4)  # warm up caches that live past the call
+    one_block = traced_peak(lambda: run(4))
+    eight_blocks = traced_peak(lambda: run(32))
+    assert eight_blocks < 2 * one_block, (eight_blocks, one_block)

@@ -406,6 +406,13 @@ def test_finetune_rejects_batch_size_above_one(pipeline):
     assert all(np.array_equal(pipeline.mt.store[n].data, v) for n, v in before.items())
 
 
+def test_empty_batch_rejected_by_name(pipeline):
+    for predict in (pipeline.predict_batch, pipeline.predict_hard_batch,
+                    pipeline.predict_forced_onehot_batch, pipeline.evaluate_metric):
+        with pytest.raises(ValueError, match="empty batch"):
+            predict([])
+
+
 def test_evaluate_metric_accuracy(pipeline):
     data = [(["t0", "t1"], 0), (["t2"], 1)]
     m = pipeline.evaluate_metric(data)

@@ -40,6 +40,32 @@ def test_classify_rejects_bad_input(model, vocab):
         model.classify_tokens([])
     with pytest.raises(ValueError, match="out of vocabulary"):
         model.classify_tokens([len(vocab)])
+    # the batch path rejects the same rows
+    with pytest.raises(ValueError, match="empty input sequence in row 1"):
+        model.classify_tokens_batch([vocab.encode(["t0"]), []])
+    for bad in ([len(vocab)], [-1]):
+        with pytest.raises(ValueError, match="out of vocabulary"):
+            model.classify_tokens_batch([vocab.encode(["t0"]), bad])
+
+
+def test_empty_batch_rejected_by_name(model, vocab):
+    with pytest.raises(ValueError, match="empty batch"):
+        model.classify_tokens_batch([])
+    with pytest.raises(ValueError, match="empty batch"):
+        model.classify_soft_values(np.zeros((0, 3, len(vocab))), np.zeros(0, dtype=int))
+
+
+@pytest.mark.parametrize("overrides,match", [
+    ({"n_classes": 0}, "n_classes=0: must be >= 1"),
+    ({"max_len": 1}, "max_len=1: must be >= 2"),
+    ({"n_layers": -1}, "n_layers=-1: must be >= 0"),
+    ({"n_heads": 0}, "n_heads=0: must be >= 1"),
+    ({"n_heads": 3}, "d_model=64: must be divisible by n_heads=3"),
+])
+def test_tc_config_out_of_range_rejected(overrides, match):
+    with pytest.raises(ValueError, match=f"TcConfig.{match}"):
+        TcConfig(**overrides)
+    assert TcConfig(n_classes=1, max_len=2, n_layers=0).max_len == 2
 
 
 def test_one_hot_soft_equals_token_path_bitwise(model, vocab, rng):
