@@ -336,10 +336,11 @@ def draw_draft(data, model, src, kind):
 
 
 def counting_decode_calls(model):
-    """Wrap ``model.decode_logits`` to count its calls; undo with ``del``."""
+    """Wrap ``model.decode_logits`` to record the rows of each call; undo
+    with ``del``."""
     calls = []
     original = model.decode_logits
-    model.decode_logits = lambda *args: calls.append(1) or original(*args)
+    model.decode_logits = lambda *args: calls.append(len(args[2])) or original(*args)
     return calls
 
 
@@ -443,10 +444,7 @@ def test_blocked_runs_equal_one_block_bitwise(seed, seqs):
 def decode_work_per_call(model, src, block_rows):
     """The rows each ``decode_logits`` call of a greedy decode receives, and
     the decode."""
-    rows = []
-    original = model.decode_logits
-    model.decode_logits = lambda memory, mask, tgt_in, cache: \
-        rows.append(len(tgt_in)) or original(memory, mask, tgt_in, cache)
+    rows = counting_decode_calls(model)
     try:
         with patch.object(mt_module, "BLOCK_ROWS", block_rows):
             decoded = model.greedy_decode_batch(src)
