@@ -24,7 +24,7 @@ from .metrics import score
 from .mt import MtConfig, MtModel, evaluate_bleu, train_mt
 from .optim import TrainConfig
 from .pipeline import FreezingPolicy, TranslateTestPipeline, check_lengths, translate_corpus
-from .synthlang import (DatasetBundle, SyntheticLanguageSpec, TaskSpec,
+from .synthlang import (DatasetBundle, SyntheticLanguageSpec, TaskSpec, check_markers_fit,
                         degrade_language, gen_classification_dataset)
 from .tc import TcConfig, TcModel, train_tc
 from .vocab import Vocabulary, build_shared_vocab
@@ -73,8 +73,9 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """A config from plain data. An unknown key, at the top level, in an
         override section or in ``sweep``, a training section's ``seed`` (the
-        run seeds set it), an out-of-range model, training or freezing setting,
-        a classifier too short for the translator's decodes, an empty
+        run seeds set it), an out-of-range task, language, model, training or
+        freezing setting, marker tokens past the content inventory, a
+        classifier too short for the translator's decodes, an empty
         ``seeds`` and a repeated seed or budget raise ``ValueError``."""
         unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
@@ -95,7 +96,9 @@ class ExperimentConfig:
         # build the model, training and freezing configs once, so that a value
         # out of range fails here, before any data is generated or model trained
         try:
-            check_lengths(MtConfig(**config.mt_model), config.tc_config(config.task_spec()))
+            task = config.task_spec()
+            check_markers_fit(task, config.lang_spec())
+            check_lengths(MtConfig(**config.mt_model), config.tc_config(task))
             for which in ("mt", "tc", "finetune"):
                 config.train_config(which, seed=0)
             config.freezing_policy()

@@ -67,10 +67,12 @@ class SoftTranslation:
 class GreedyDecode(list):
     """The greedy tokens of a batch, one array per row up to and including
     EOS (when reached within the budget), plus ``lengths`` (B,) and, when
-    kept, the step distributions ``probs`` (B, M, V) with PAD one-hot rows
-    past each row's length."""
+    kept, ``blocks``: the step distributions of each row block, in row order,
+    as the decode produced them, (n, m_b, V) with m_b that block's own step
+    count. ``pad_steps`` pads a block to the batch's step count M =
+    max(lengths)."""
     lengths: np.ndarray
-    probs: np.ndarray | None = None
+    blocks: list[np.ndarray] | None = None
 
 
 class DecodeCache:
@@ -179,32 +181,30 @@ class MtModel:
         never does costs only its block the full budget. Within a block, rows
         that emitted EOS are fed PAD, which stays masked as a key. Every
         row's arithmetic is that of a one-block decode, so the outputs are
-        bitwise equal to it. ``keep_probs`` keeps the distributions.
+        bitwise equal to it. ``keep_probs`` keeps each block's distributions
+        as ``blocks``, unpadded and uncopied.
         """
         src_ids = np.asarray(src_ids)
-        blocks = []
+        blocks, dist_blocks = [], []
         for rows in _row_blocks(len(src_ids)):
             with no_grad():
                 memory, cross_mask = self.encode(src_ids[rows])
             steps, dists = self._greedy_steps(memory, cross_mask, keep_probs)
-            blocks.append((rows, np.stack(steps, axis=1),
-                           np.stack(dists, axis=1) if keep_probs else None))
+            blocks.append((rows, np.stack(steps, axis=1)))
+            if keep_probs:
+                dist_blocks.append(np.stack(dists, axis=1))
             del memory, cross_mask, steps, dists  # before the next block's encode
-        m = max(block_tokens.shape[1] for _, block_tokens, _ in blocks)
+        m = max(block_tokens.shape[1] for _, block_tokens in blocks)
         # a block that stopped early has every row's EOS, so PAD past it is never read
         tokens = np.full((len(src_ids), m), self.vocab.pad_id, dtype=np.int64)
-        for rows, block_tokens, _ in blocks:
+        for rows, block_tokens in blocks:
             tokens[rows, :block_tokens.shape[1]] = block_tokens
         is_eos = tokens == self.vocab.eos_id
         lengths = np.where(is_eos.any(axis=1), is_eos.argmax(axis=1) + 1, m)
         out = GreedyDecode(tokens[i, :n] for i, n in enumerate(lengths))
         out.lengths = lengths
         if keep_probs:
-            out.probs = np.empty((len(src_ids), m, len(self.vocab)))
-            for rows, _, block_probs in blocks:
-                out.probs[rows, :block_probs.shape[1]] = block_probs
-            past = np.arange(m)[None, :] >= lengths[:, None]
-            out.probs[past] = np.eye(len(self.vocab))[self.vocab.pad_id]
+            out.blocks = dist_blocks
         return out
 
     def _greedy_steps(self, memory: Tensor, cross_mask: np.ndarray, keep_probs: bool):
@@ -296,14 +296,20 @@ class MtModel:
         return probs, np.argmax(probs.data, axis=-1)
 
     def soft_decode_values(self, src_ids: np.ndarray):
-        """Batched, gradient-free soft decode for evaluation: the step
-        distributions of the greedy decode itself.
+        """Batched, gradient-free soft decode: the step distributions of the
+        greedy decode itself, assembled into one array.
 
         Returns (probs (B, M, V) ndarray, tokens list of arrays, lengths (B,)).
-        Positions past each sample's length are PAD one-hot rows.
+        Positions past each sample's length are PAD one-hot rows. Evaluation
+        classifies ``greedy_decode_batch``'s blocks instead and never builds
+        this array.
         """
         decoded = self.greedy_decode_batch(src_ids, keep_probs=True)
-        return decoded.probs, list(decoded), decoded.lengths
+        lengths = decoded.lengths
+        probs = np.empty((len(lengths), int(lengths.max()), len(self.vocab)))
+        for rows, block in zip(_block_rows(decoded.blocks), decoded.blocks):
+            probs[rows] = pad_steps(block, lengths[rows], probs.shape[1], self.vocab.pad_id)
+        return probs, list(decoded), lengths
 
     # ------------------------------------------------------------------
     # persistence
@@ -351,6 +357,21 @@ def _row_blocks(n: int) -> list[slice]:
     if n == 0:
         raise ValueError("empty batch: a batch needs at least one row")
     return [slice(i, min(i + BLOCK_ROWS, n)) for i in range(0, n, BLOCK_ROWS)]
+
+
+def _block_rows(blocks) -> list[slice]:
+    """The row slice of each of ``blocks``, consecutive row blocks in order."""
+    ends = np.cumsum([len(block) for block in blocks]).tolist()
+    return [slice(end - len(block), end) for block, end in zip(blocks, ends)]
+
+
+def pad_steps(probs: np.ndarray, lengths: np.ndarray, m: int, pad_id: int) -> np.ndarray:
+    """A block's step distributions (n, m_b, V) padded to ``m`` >= m_b steps,
+    with the PAD one-hot at every step past each row's length."""
+    out = np.empty((len(probs), m, probs.shape[2]))
+    out[:, :probs.shape[1]] = probs
+    out[np.arange(m)[None, :] >= lengths[:, None]] = np.eye(probs.shape[2])[pad_id]
+    return out
 
 
 def _pad_batch(seqs: list[list[int]], pad_id: int) -> np.ndarray:

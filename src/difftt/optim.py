@@ -19,7 +19,8 @@ EPS = 1e-8
 class TrainConfig:
     """Optimization settings; defaults follow the translator fine-tuning recipe
     (AdamW, lr 3e-5, warmup 500, weight decay 0.01, clip 1.0, accumulation 2,
-    batch 8, 10 epochs). Desk-scale from-scratch runs typically override lr."""
+    batch 8, 10 epochs). Desk-scale from-scratch runs typically override lr.
+    ``max_grad_norm=0`` means no clipping; ``warmup_steps=0`` means none."""
     epochs: int = 10
     batch_size: int = 8
     lr: float = 3e-5
@@ -33,8 +34,9 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "grad_accum"):
             if getattr(self, name) < 1:
                 raise ValueError(f"TrainConfig.{name}={getattr(self, name)}: must be >= 1")
-        if self.lr < 0:
-            raise ValueError(f"TrainConfig.lr={self.lr}: must be >= 0")
+        for name in ("lr", "warmup_steps", "weight_decay", "max_grad_norm"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"TrainConfig.{name}={getattr(self, name)}: must be >= 0")
 
 
 class AdamW:
@@ -66,7 +68,8 @@ class AdamW:
         return cfg.lr
 
     def clip_global_norm(self) -> float:
-        """Scale all gradients so the global L2 norm is at most max_grad_norm.
+        """Scale all gradients so the global L2 norm is at most max_grad_norm
+        (0: no clipping); returns the norm before clipping.
 
         A NaN or infinite norm raises FloatingPointError (naming the step and
         the first parameter whose gradient is not finite) before anything is

@@ -107,11 +107,11 @@ class TranslateTestPipeline:
         ``predict_hard_batch``."""
         self._translation = None
         src = _pad_batch([list(s) for s in target_ids_batch], self.vocab.pad_id)
-        probs, tokens, lengths = self.mt.soft_decode_values(src)
-        preds = self.tc.classify_soft_values(probs, lengths)
-        del probs  # the snapshot below never sits beside the decode's arrays
+        decoded = self.mt.greedy_decode_batch(src, keep_probs=True)
+        preds = self.tc.classify_soft_values(decoded.blocks, decoded.lengths)
+        decoded.blocks = None  # the snapshot below never sits beside the distributions
         self._translation = _Translation(src, dataclasses.replace(self.mt.config),
-                                         self.mt.store.state(), tokens)
+                                         self.mt.store.state(), list(decoded))
         return preds
 
     def predict_hard(self, target_ids) -> Prediction:
@@ -135,11 +135,12 @@ class TranslateTestPipeline:
     def predict_forced_onehot_batch(self, target_ids_batch) -> list[Prediction]:
         """Soft path with every p_j replaced by the one-hot of its argmax."""
         src = _pad_batch([list(s) for s in target_ids_batch], self.vocab.pad_id)
-        probs, _, lengths = self.mt.soft_decode_values(src)
-        onehot = np.zeros_like(probs)
-        arg = probs.argmax(axis=-1)
-        np.put_along_axis(onehot, arg[..., None], 1.0, axis=-1)
-        return self.tc.classify_soft_values(onehot, lengths)
+        decoded = self.mt.greedy_decode_batch(src, keep_probs=True)
+        for block in decoded.blocks:  # padding a one-hot block adds PAD's one-hot
+            arg = block.argmax(axis=-1)
+            block[:] = 0.0
+            np.put_along_axis(block, arg[..., None], 1.0, axis=-1)
+        return self.tc.classify_soft_values(decoded.blocks, decoded.lengths)
 
     # ------------------------------------------------------------------
     # joint fine-tuning

@@ -32,6 +32,15 @@ class SyntheticLanguageSpec:
     max_reorder: float = 0.5
     max_noise: float = 0.6
 
+    def __post_init__(self):
+        if self.n_content_tokens < 1:
+            raise ValueError(f"SyntheticLanguageSpec.n_content_tokens={self.n_content_tokens}: "
+                             f"must be >= 1")
+        if self.n_function_words < 0:
+            raise ValueError(f"SyntheticLanguageSpec.n_function_words={self.n_function_words}: "
+                             f"must be >= 0")
+        _check_probabilities(self, ("reorder_prob", "noise_rate", "max_reorder", "max_noise"))
+
     def function_words(self) -> list[str]:
         return [f"f{i:02d}" for i in range(self.n_function_words)]
 
@@ -47,6 +56,13 @@ class SyntheticLanguageSpec:
 
     def inverse_bijection(self) -> dict[str, str]:
         return dict(_cipher(self).inverse)
+
+
+def _check_probabilities(spec, names):
+    for name in names:
+        value = getattr(spec, name)
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{type(spec).__name__}.{name}={value}: must be in [0, 1]")
 
 
 class _Cipher(NamedTuple):
@@ -109,11 +125,32 @@ class TaskSpec:
     max_len: int = 12
     label_prob: float = 0.3            # per-label presence prob (multi-label)
 
+    def __post_init__(self):
+        if self.kind not in ("multi_class", "multi_label"):
+            raise ValueError(f"TaskSpec.kind={self.kind!r}: must be 'multi_class' or "
+                             f"'multi_label'")
+        for name in ("n_classes", "markers_per_class"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"TaskSpec.{name}={getattr(self, name)}: must be >= 1")
+        if not 0 <= self.min_len <= self.max_len:
+            raise ValueError(f"TaskSpec.min_len={self.min_len}, max_len={self.max_len}: "
+                             f"must satisfy 0 <= min_len <= max_len")
+        _check_probabilities(self, ("label_prob",))
+
     def marker_sets(self) -> list[list[str]]:
         """Per-class marker tokens, drawn from the front of the content inventory."""
         per = self.markers_per_class if self.kind == "multi_class" else 1
         return [[f"w{c * per + k:03d}" for k in range(per)]
                 for c in range(self.n_classes)]
+
+
+def check_markers_fit(task: TaskSpec, lang: SyntheticLanguageSpec):
+    """Raise ``ValueError`` unless ``task``'s marker tokens are all content
+    tokens of ``lang``; a marker past the inventory would encode as UNK."""
+    n_markers = sum(len(markers) for markers in task.marker_sets())
+    if n_markers > lang.n_content_tokens:
+        raise ValueError(f"the task's {n_markers} marker tokens (n_classes={task.n_classes}) "
+                         f"exceed the language's n_content_tokens={lang.n_content_tokens}")
 
 
 def oracle_label(tokens: list[str], task: TaskSpec,
@@ -189,8 +226,6 @@ def gen_language_pair(spec: SyntheticLanguageSpec,
                       sizes: tuple[int, int, int] = (5000, 500, 500),
                       min_len: int = 4, max_len: int = 12) -> ParallelCorpus:
     """Parallel corpus of random sentences over the full source inventory."""
-    if spec.n_content_tokens == 0:
-        raise ValueError("degenerate language spec: empty content vocabulary")
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xC0]))
     inventory = spec.source_content() + spec.function_words()
     total = sum(sizes)
@@ -254,6 +289,7 @@ def gen_classification_dataset(task: TaskSpec, lang: SyntheticLanguageSpec,
     pools and the selection-dev split are carved from the target dev set and
     are pairwise disjoint from each other and from the test set.
     """
+    check_markers_fit(task, lang)
     rng = np.random.default_rng(np.random.SeedSequence([lang.seed, task.n_classes, 0xD5]))
     seen: set[str] = set()
     hr_train = _gen_labeled(task, lang, sizes[0], rng, seen)

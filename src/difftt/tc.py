@@ -20,7 +20,7 @@ from .autodiff import Tensor, no_grad
 from .checkpoint import load_model, save_checkpoint
 from .layers import EncoderLayer
 from .metrics import score
-from .mt import _pad_batch, _row_blocks
+from .mt import _block_rows, _pad_batch, _row_blocks, pad_steps
 from .optim import FitResult, TrainConfig, fit
 from .params import ParamStore
 from .vocab import Vocabulary
@@ -133,16 +133,16 @@ class TcModel:
         pooled = ad.masked_mean_pool(x, valid)
         return ad.affine(pooled, self.head[0].tensor, self.head[1].tensor) if head else pooled
 
-    def _blocked_logits(self, body_of, lengths: np.ndarray) -> np.ndarray:
-        """Gradient-free logits: the encoder runs on blocks of ``mt.BLOCK_ROWS``
-        rows, ``body_of(rows)`` giving a block's input embeddings, and the
+    def _blocked_logits(self, body_of, blocks: list[slice], lengths: np.ndarray) -> np.ndarray:
+        """Gradient-free logits: the encoder runs on each row block of
+        ``blocks``, ``body_of(i)`` giving block i's input embeddings, and the
         head once on every row's pooled features. A 2-D GEMM's rows depend on
         its row count, so one head GEMM keeps the logits bitwise those of a
         one-block pass; every other op works row by row."""
         with no_grad():
-            pooled = np.concatenate([self._forward_embedded(body_of(rows), lengths[rows],
+            pooled = np.concatenate([self._forward_embedded(body_of(i), lengths[rows],
                                                             head=False).data
-                                     for rows in _row_blocks(len(lengths))])
+                                     for i, rows in enumerate(blocks)])
             return ad.affine(Tensor(pooled), self.head[0].tensor, self.head[1].tensor).data
 
     def logits_tokens(self, ids: np.ndarray, lengths: np.ndarray) -> Tensor:
@@ -171,15 +171,36 @@ class TcModel:
             raise ValueError(f"empty input sequence in row {int(np.argmin(lengths))}")
         if ids.min() < 0 or ids.max() >= len(self.vocab):
             raise ValueError("token id out of vocabulary range")
+        blocks = _row_blocks(len(seqs))
         return self._predictions(self._blocked_logits(
-            lambda rows: ad.embedding(self.emb.tensor, ids[rows]), lengths))
+            lambda i: ad.embedding(self.emb.tensor, ids[blocks[i]]), blocks, lengths))
 
-    def classify_soft_values(self, probs: np.ndarray, lengths: np.ndarray) -> list[Prediction]:
-        """Gradient-free `logits_soft` predictions for evaluation, in row
-        blocks at the batch's step count."""
-        return self._predictions(self._blocked_logits(
-            lambda rows: bridge.expected_embedding(Tensor(probs[rows]), self.emb.tensor),
-            np.asarray(lengths)))
+    def classify_soft_values(self, blocks: list[np.ndarray],
+                             lengths: np.ndarray) -> list[Prediction]:
+        """Gradient-free `logits_soft` predictions for evaluation from the
+        step distributions of consecutive row blocks, (n, m_b, V) each, as
+        ``MtModel.greedy_decode_batch`` keeps them; a (B, M, V) array is
+        ``[probs]``. Each block is padded to the batch's step count
+        max(lengths) just before its encoder pass, and the list lets go of
+        the unpadded block (its entry becomes None) before that pass, so the
+        distributions are held about once, never as a padded (B, M, V)
+        array beside the decode's."""
+        lengths = np.asarray(lengths)
+        if not len(lengths):
+            raise ValueError("empty batch: a batch needs at least one row")
+        if (any(np.ndim(block) != 3 for block in blocks)
+                or sum(len(block) for block in blocks) != len(lengths)):
+            raise ValueError("classify_soft_values takes a list of (n, m, V) blocks "
+                             "that together hold one row per length")
+        m = int(lengths.max())
+        rows = _block_rows(blocks)
+
+        def body_of(i):
+            padded = pad_steps(blocks[i], lengths[rows[i]], m, self.vocab.pad_id)
+            blocks[i] = None
+            return bridge.expected_embedding(Tensor(padded), self.emb.tensor)
+
+        return self._predictions(self._blocked_logits(body_of, rows, lengths))
 
     def _predictions(self, logits: np.ndarray) -> list[Prediction]:
         """One Prediction per row of a (B, C) logits array; the rows share

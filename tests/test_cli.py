@@ -98,7 +98,12 @@ def test_unknown_key_in_a_config_section_fails_cleanly(tmp_path, text):
 @pytest.mark.parametrize("section,value", [("mt_train", {"epochs": 0}),
                                            ("finetune", {"seed": 5}),
                                            ("mt_model", {"temperature": -1.0}),
-                                           ("tc_model", {"max_len": 10})])
+                                           ("tc_model", {"max_len": 10}),
+                                           ("task", {"kind": "multiclass"}),
+                                           ("task", {"n_classes": 50}),
+                                           ("task", {"min_len": 9, "max_len": 3}),
+                                           ("lang", {"noise_rate": 1.5}),
+                                           ("lang", {"n_content_tokens": 0})])
 def test_out_of_range_config_fails_before_training(tmp_path, section, value):
     path = write_config(tmp_path, **{section: value})
     result = CliRunner().invoke(main, ["evaluate", str(path)])

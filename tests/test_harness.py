@@ -106,6 +106,21 @@ def test_config_checks_sweep_keys(tmp_path):
     ({"tc_model": {"n_classes": 0}}, "TcConfig.n_classes=0"),
     ({"mt_model": {"n_heads": 3}}, "MtConfig.d_model=64: must be divisible by n_heads=3"),
     ({"mt_model": {"max_decode_len": 0}}, "MtConfig.max_decode_len=0"),
+    ({"task": {"kind": "multiclass"}}, "TaskSpec.kind='multiclass'"),
+    ({"task": {"n_classes": 50}}, "200 marker tokens .* exceed the language's n_content_tokens=60"),
+    ({"task": {"kind": "multi_label", "n_classes": 6}, "lang": {"n_content_tokens": 5}},
+     "6 marker tokens .* exceed the language's n_content_tokens=5"),
+    ({"task": {"min_len": 9, "max_len": 3}}, "TaskSpec.min_len=9, max_len=3"),
+    ({"task": {"min_len": -1}}, "TaskSpec.min_len=-1"),
+    ({"task": {"label_prob": 1.5}}, r"TaskSpec.label_prob=1.5: must be in \[0, 1\]"),
+    ({"task": {"markers_per_class": 0}}, "TaskSpec.markers_per_class=0"),
+    ({"lang": {"noise_rate": 1.5}}, r"SyntheticLanguageSpec.noise_rate=1.5: must be in \[0, 1\]"),
+    ({"lang": {"reorder_prob": -0.1}}, "SyntheticLanguageSpec.reorder_prob=-0.1"),
+    ({"lang": {"max_noise": 2.0}}, "SyntheticLanguageSpec.max_noise=2.0"),
+    ({"lang": {"n_content_tokens": 0}}, "SyntheticLanguageSpec.n_content_tokens=0"),
+    ({"finetune": {"warmup_steps": -1}}, "TrainConfig.warmup_steps=-1"),
+    ({"mt_train": {"weight_decay": -0.01}}, "TrainConfig.weight_decay=-0.01"),
+    ({"tc_train": {"max_grad_norm": -1.0}}, "TrainConfig.max_grad_norm=-1.0"),
 ])
 def test_config_rejects_out_of_range_settings(tmp_path, data, match):
     with pytest.raises(ValueError, match=match):

@@ -415,11 +415,14 @@ PROP_TC = TcModel(PROP_VOCAB, TcConfig(d_model=16, n_layers=2, n_heads=2, d_ff=3
 
 def blocked_outputs(model, seqs, block_rows):
     """Tokens, lengths and probs of a soft decode, then soft-path logits over
-    them and token-path logits over the sources, with ``block_rows`` rows per
-    block."""
+    the decode's blocks and token-path logits over the sources, with
+    ``block_rows`` rows per block."""
+    src = _pad_batch(seqs, model.vocab.pad_id)
     with patch.object(mt_module, "BLOCK_ROWS", block_rows):
-        probs, tokens, lengths = model.soft_decode_values(_pad_batch(seqs, model.vocab.pad_id))
-        soft = PROP_TC.classify_soft_values(probs, lengths)
+        probs, tokens, lengths = model.soft_decode_values(src)
+        decoded = model.greedy_decode_batch(src, keep_probs=True)
+        assert len(decoded.blocks) == -(-len(seqs) // block_rows)
+        soft = PROP_TC.classify_soft_values(decoded.blocks, decoded.lengths)
         hard = PROP_TC.classify_tokens_batch(seqs)
     return (tokens, lengths, probs, np.stack([p.logits for p in soft]),
             np.stack([p.logits for p in hard]))
@@ -496,8 +499,8 @@ def test_evaluation_memory_is_bounded_by_the_block(vocab, monkeypatch):
     src = np.random.default_rng(0).integers(5, len(vocab), size=(8 * 4, 32))
 
     def run(n):
-        probs, _, lengths = big.soft_decode_values(src[:n])
-        tc.classify_soft_values(probs, lengths)
+        decoded = big.greedy_decode_batch(src[:n], keep_probs=True)
+        tc.classify_soft_values(decoded.blocks, decoded.lengths)
         tc.classify_tokens_batch([list(s) for s in src[:n]])
 
     run(4)  # warm up caches that live past the call

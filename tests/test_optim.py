@@ -263,3 +263,21 @@ def test_every_train_config_field_changes_the_trained_parameters():
     for name, value in FIELD_CHANGES.items():
         changed = fit_least_squares(TrainConfig(**{**BASE_RUN, name: value}))
         assert not np.array_equal(changed, base), f"TrainConfig.{name} has no effect"
+
+
+@pytest.mark.parametrize("field,value", [("warmup_steps", -1), ("weight_decay", -0.01),
+                                         ("max_grad_norm", -1.0)])
+def test_negative_schedule_decay_and_clip_settings_rejected(field, value):
+    # a negative warmup acted as none, a negative decay grew the weights and a
+    # negative clip norm turned clipping off as 0 does
+    with pytest.raises(ValueError, match=f"TrainConfig.{field}={value}: must be >= 0"):
+        TrainConfig(**{field: value})
+    assert getattr(TrainConfig(**{field: 0}), field) == 0
+
+
+def test_zero_max_grad_norm_means_no_clipping():
+    p = make_param([0.0, 0.0])
+    set_grad(p, [300.0, 400.0])
+    opt = AdamW([p], TrainConfig(max_grad_norm=0.0, warmup_steps=0, grad_accum=1))
+    assert opt.clip_global_norm() == 500.0
+    assert np.array_equal(p.grad, [300.0, 400.0])

@@ -2,13 +2,18 @@
 one-hots, fine-tuning behavior, persistence."""
 
 import json
+import tracemalloc
 import weakref
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from difftt import autodiff as ad
-from difftt.mt import MtModel, TrainConfig
+from difftt import mt as mt_module
+from difftt.mt import MtModel, TrainConfig, _pad_batch
 from difftt.pipeline import (FreezingPolicy, TranslateTestPipeline,
                              apply_freezing, translate_corpus)
 from difftt.vocab import SPECIALS, Vocabulary, VocabularyMismatch
@@ -91,6 +96,65 @@ def test_predict_single_matches_batch(pipeline, vocab, rng):
         if len(set(len(i) for i in inputs)) == 1:
             assert np.allclose(single.logits, got.logits, atol=1e-12)
         assert np.all(np.isfinite(got.logits))
+
+
+BLOCK_VOCAB = micro_vocab()
+# one untrained pipeline per head kind: its decodes end at ragged lengths
+BLOCK_PIPES = {multi_label: TranslateTestPipeline(micro_mt(BLOCK_VOCAB),
+                                                  micro_tc(BLOCK_VOCAB, multi_label=multi_label))
+               for multi_label in (False, True)}
+
+
+def logits_of(preds) -> np.ndarray:
+    return np.stack([p.logits for p in preds])
+
+
+@pytest.mark.parametrize("multi_label", [False, True])
+@settings(max_examples=25, deadline=None)
+@given(seqs=st.lists(st.lists(st.integers(5, len(BLOCK_VOCAB) - 1), min_size=1, max_size=5),
+                     min_size=1, max_size=12),
+       block_rows=st.integers(1, 4))
+def test_blockwise_soft_path_equals_the_assembled_one_bitwise(multi_label, seqs, block_rows):
+    # ragged rows across several blocks: each block is padded to the batch's
+    # step count on its own, and the result equals the assembled array's
+    pipe = BLOCK_PIPES[multi_label]
+    with patch.object(mt_module, "BLOCK_ROWS", block_rows):
+        soft = logits_of(pipe.predict_batch(seqs))
+        probs, _, lengths = pipe.mt.soft_decode_values(_pad_batch(seqs, BLOCK_VOCAB.pad_id))
+        assembled = logits_of(pipe.tc.classify_soft_values([probs], lengths))
+        forced = logits_of(pipe.predict_forced_onehot_batch(seqs))
+        hard = logits_of(pipe.predict_hard_batch(seqs))
+    assert soft.tobytes() == assembled.tobytes()
+    assert forced.tobytes() == hard.tobytes()
+
+
+def test_soft_path_holds_its_distributions_about_once():
+    # a wide vocabulary, narrow layers and blocks of 4 rows: the step
+    # distributions outweigh everything else the soft path allocates
+    vocab = micro_vocab(200)
+    pipe = TranslateTestPipeline(
+        micro_mt(vocab, d_model=4, n_layers=1, n_heads=1, d_ff=4, max_source_len=4,
+                 max_decode_len=12),
+        micro_tc(vocab, d_model=4, n_layers=1, n_heads=1, d_ff=4, max_len=13))
+    inputs = random_inputs(vocab, np.random.default_rng(0), 128, max_len=4)
+    with patch.object(mt_module, "BLOCK_ROWS", 4):
+        probs, _, _ = pipe.mt.soft_decode_values(_pad_batch(inputs, vocab.pad_id))
+        pipe.predict_batch(inputs[:4])  # warm up caches that live past the call
+        tracemalloc.start()
+        try:
+            pipe.predict_batch(inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.5 * probs.nbytes, (peak, probs.nbytes)
+
+
+def test_classify_soft_values_rejects_an_unblocked_array(pipeline, vocab, rng):
+    inputs = random_inputs(vocab, rng, 3)
+    probs, _, lengths = pipeline.mt.soft_decode_values(_pad_batch(inputs, vocab.pad_id))
+    for blocks in (probs, [probs[:2]], [probs, probs[:1]]):
+        with pytest.raises(ValueError, match="one row per length"):
+            pipeline.tc.classify_soft_values(blocks, lengths)
 
 
 def count_decodes(monkeypatch) -> list:

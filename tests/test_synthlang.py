@@ -105,8 +105,45 @@ def test_gen_language_pair_deterministic_and_unique():
     assert len(keys) == 70
 
 
+@pytest.mark.parametrize("spec,fields,match", [
+    (TaskSpec, {"kind": "multiclass"}, "TaskSpec.kind='multiclass'"),
+    (TaskSpec, {"n_classes": 0}, "TaskSpec.n_classes=0: must be >= 1"),
+    (TaskSpec, {"markers_per_class": 0}, "TaskSpec.markers_per_class=0: must be >= 1"),
+    (TaskSpec, {"min_len": 9, "max_len": 3}, "TaskSpec.min_len=9, max_len=3"),
+    (TaskSpec, {"min_len": -1}, "TaskSpec.min_len=-1"),
+    (TaskSpec, {"label_prob": -0.5}, r"TaskSpec.label_prob=-0.5: must be in \[0, 1\]"),
+    (SyntheticLanguageSpec, {"n_content_tokens": 0}, "n_content_tokens=0: must be >= 1"),
+    (SyntheticLanguageSpec, {"n_function_words": -1}, "n_function_words=-1: must be >= 0"),
+    (SyntheticLanguageSpec, {"noise_rate": 1.5}, r"noise_rate=1.5: must be in \[0, 1\]"),
+    (SyntheticLanguageSpec, {"reorder_prob": -0.1}, "reorder_prob=-0.1"),
+    (SyntheticLanguageSpec, {"max_reorder": 1.1}, "max_reorder=1.1"),
+    (SyntheticLanguageSpec, {"max_noise": float("nan")}, "max_noise=nan"),
+])
+def test_spec_out_of_range_rejected_when_built(spec, fields, match):
+    with pytest.raises(ValueError, match=match):
+        spec(**fields)
+
+
+def test_markers_past_the_content_inventory_rejected():
+    # 50 classes of 4 markers would run past the 60 content tokens and encode as UNK
+    with pytest.raises(ValueError, match="200 marker tokens .* n_content_tokens=60"):
+        gen_classification_dataset(TaskSpec(n_classes=50), CLEAN, sizes=(6, 6, 6),
+                                   parallel_sizes=(6, 6, 6), few_shot_sizes=())
+    # exactly filling it is allowed: one marker per label, 60 labels
+    gen_classification_dataset(TaskSpec(kind="multi_label", n_classes=60), CLEAN,
+                               sizes=(6, 6, 6), parallel_sizes=(6, 6, 6), few_shot_sizes=())
+
+
+def test_specs_at_the_range_ends_load():
+    TaskSpec(min_len=0, max_len=0, label_prob=1.0)
+    TaskSpec(kind="multi_label", label_prob=0.0)
+    lang = SyntheticLanguageSpec(n_content_tokens=1, n_function_words=0, reorder_prob=1.0,
+                                 noise_rate=0.0, max_reorder=1.0, max_noise=1.0)
+    assert degrade_language(lang, 1.0).noise_rate == 1.0
+
+
 def test_gen_language_pair_rejects_degenerate():
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(ValueError, match="n_content_tokens=0: must be >= 1"):
         gen_language_pair(SyntheticLanguageSpec(n_content_tokens=0))
 
 

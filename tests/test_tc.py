@@ -52,7 +52,7 @@ def test_empty_batch_rejected_by_name(model, vocab):
     with pytest.raises(ValueError, match="empty batch"):
         model.classify_tokens_batch([])
     with pytest.raises(ValueError, match="empty batch"):
-        model.classify_soft_values(np.zeros((0, 3, len(vocab))), np.zeros(0, dtype=int))
+        model.classify_soft_values([np.zeros((0, 3, len(vocab)))], np.zeros(0, dtype=int))
 
 
 @pytest.mark.parametrize("overrides,match", [
@@ -74,7 +74,7 @@ def test_one_hot_soft_equals_token_path_bitwise(model, vocab, rng):
         n = int(rng.integers(1, model.config.max_len))
         ids = [int(i) for i in rng.integers(5, v, size=n)]
         hard = model.classify_tokens(ids)
-        soft = model.classify_soft_values(onehot_rows(ids, v)[None], np.asarray([n]))[0]
+        soft = model.classify_soft_values([onehot_rows(ids, v)[None]], np.asarray([n]))[0]
         assert np.array_equal(hard.logits, soft.logits)
         assert hard.label == soft.label
 
@@ -86,7 +86,8 @@ def test_over_long_soft_input_raises(model, vocab, rng):
     ids = [int(i) for i in rng.integers(5, v, size=model.config.max_len + 3)]
     hard = model.classify_tokens(ids)
     cut = ids[: model.config.max_len - 1]
-    soft = model.classify_soft_values(onehot_rows(cut, v)[None], np.asarray([len(cut)]))[0]
+    soft = model.classify_soft_values([onehot_rows(cut, v)[None]],
+                                      np.asarray([len(cut)]))[0]
     assert np.array_equal(hard.logits, soft.logits)
     longer = onehot_rows(ids[: model.config.max_len], v)[None]
     with pytest.raises(ValueError, match="exceeds max_len"):
@@ -119,7 +120,7 @@ def test_padded_logits_soft_matches_per_row_with_gradients(seed, model_seed, b, 
     weights = rng.normal(size=(b, c))
     logits, p_grad, e_grad = soft_logits_and_grads(model, probs, lengths, weights)
     # the gradient-free evaluation path is the same pass
-    for pred, row in zip(model.classify_soft_values(probs, lengths), logits):
+    for pred, row in zip(model.classify_soft_values([probs], lengths), logits):
         assert np.array_equal(pred.logits, row)
     e_grad_rows = np.zeros_like(e_grad)
     for i, n in enumerate(lengths):

@@ -8,12 +8,17 @@ are byte-identical. It compares arrays rather than archive bytes, because
 the metadata of the committed archives may hold keys that the current writer
 no longer emits. Any change to the floats of training shows up here.
 
+The PASS/FAIL line names the OpenBLAS kernel that computed the rebuild. The
+committed pipeline was trained with the SkylakeX kernel, and another kernel
+(Haswell on an AVX2-only machine) gives other training floats.
+
     python3 perfbench/build_pipeline.py "$DIR"
     python3 tools/compare_pipeline.py "$DIR"
 """
 
 from __future__ import annotations
 
+import ctypes
 import sys
 from pathlib import Path
 
@@ -21,6 +26,23 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "pipeline"
+
+
+def blas_core_name(libs: Path | None = None) -> str:
+    """The kernel (e.g. ``SkylakeX``) that numpy's bundled OpenBLAS picked
+    for this CPU, read through ``scipy_openblas_get_corename64_`` in the
+    ``numpy.libs`` directory ``libs``; ``unknown`` when no such library or
+    symbol is found."""
+    if libs is None:
+        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def differences(built: Path) -> list[str]:
@@ -53,5 +75,6 @@ if __name__ == "__main__":
     found = differences(Path(sys.argv[1]))
     for line in found:
         print(line)
-    print(f"{'FAIL' if found else 'PASS'}: {sys.argv[1]} against {REFERENCE.relative_to(ROOT)}")
+    print(f"{'FAIL' if found else 'PASS'}: {sys.argv[1]} against {REFERENCE.relative_to(ROOT)} "
+          f"(OpenBLAS kernel {blas_core_name()})")
     sys.exit(1 if found else 0)
