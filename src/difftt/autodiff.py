@@ -10,11 +10,46 @@ so finite-difference checks are meaningful.
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 
 import numpy as np
-from scipy.special import erf
+
+
+def _load_erf():
+    """scipy's ``erf`` ufunc, loaded without importing the ``scipy.special`` package.
+
+    The ufunc lives in the extension ``scipy.special._special_ufuncs``; the
+    package's ``__init__`` around it loads about 70 more modules (about 20 MB
+    resident and a quarter of a second). The extension is loaded under its
+    full dotted name and stays in ``sys.modules``, so a later
+    ``import scipy.special`` reuses it and ``scipy.special.erf`` is this very
+    object: the same C code, so GELU's floats are unchanged. A scipy without
+    that extension, or without ``erf`` in it, gets the package import.
+    """
+    name = "scipy.special._special_ufuncs"
+    module = sys.modules.get(name)
+    scipy = importlib.util.find_spec("scipy")
+    for root in scipy.submodule_search_locations if module is None and scipy else ():
+        finder = importlib.machinery.FileFinder(
+            os.path.join(root, "special"),
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+            break
+    if hasattr(module, "erf"):
+        return module.erf
+    from scipy.special import erf
+    return erf
+
+
+erf = _load_erf()
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters (malloc.h)
 

@@ -40,9 +40,10 @@ class MtConfig:
             raise ValueError(f"MtConfig.dropout={self.dropout}: the translator has no dropout")
         if not self.temperature > 0:
             raise ValueError(f"MtConfig.temperature={self.temperature}: must be > 0")
-        for name in ("n_heads", "max_source_len", "max_decode_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"MtConfig.{name}={getattr(self, name)}: must be >= 1")
+        for name, low in (("d_model", 1), ("n_layers", 0), ("n_heads", 1), ("d_ff", 1),
+                          ("max_source_len", 1), ("max_decode_len", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"MtConfig.{name}={getattr(self, name)}: must be >= {low}")
         if self.d_model % self.n_heads:
             raise ValueError(f"MtConfig.d_model={self.d_model}: must be divisible by "
                              f"n_heads={self.n_heads}")

@@ -222,6 +222,21 @@ def _neutral_inventory(task: TaskSpec, lang: SyntheticLanguageSpec) -> list[str]
     return [t for t in lang.source_content() if t not in markers] + lang.function_words()
 
 
+# Sentences are drawn until a split holds enough distinct ones. A run of this
+# many duplicate draws in a row means the sentence space is (nearly) used up:
+# the draw stops with an error instead of looping forever. Only rejected
+# draws are counted, so every config that fills its splits draws as before.
+_MAX_DUPLICATE_RUN = 10_000
+
+
+def _too_few_sentences(split: str, filled: int, count: int, min_len: int,
+                       max_len: int) -> ValueError:
+    return ValueError(
+        f"{split} split: {filled} of {count} distinct sentences drawn, then "
+        f"{_MAX_DUPLICATE_RUN} duplicates in a row; min_len={min_len}, max_len={max_len} "
+        f"leave too few distinct sentences for the requested split sizes")
+
+
 def gen_language_pair(spec: SyntheticLanguageSpec,
                       sizes: tuple[int, int, int] = (5000, 500, 500),
                       min_len: int = 4, max_len: int = 12) -> ParallelCorpus:
@@ -229,28 +244,37 @@ def gen_language_pair(spec: SyntheticLanguageSpec,
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xC0]))
     inventory = spec.source_content() + spec.function_words()
     total = sum(sizes)
+    a, b = sizes[0], sizes[0] + sizes[1]
     seen = set()
     sentences = []
+    duplicates = 0
     while len(sentences) < total:
         n = int(rng.integers(min_len, max_len + 1))
         sent = [inventory[i] for i in rng.integers(len(inventory), size=n).tolist()]
         key = " ".join(sent)
         if key in seen:
+            duplicates += 1
+            if duplicates == _MAX_DUPLICATE_RUN:
+                split = (len(sentences) >= a) + (len(sentences) >= b)
+                raise _too_few_sentences(f"parallel {('train', 'dev', 'test')[split]}",
+                                         len(sentences) - (0, a, b)[split], sizes[split],
+                                         min_len, max_len)
             continue
+        duplicates = 0
         seen.add(key)
         sentences.append(sent)
     pairs = [(s, translate_tokens(s, spec, rng)) for s in sentences]
-    a, b = sizes[0], sizes[0] + sizes[1]
     return ParallelCorpus(train=pairs[:a], dev=pairs[a:b], test=pairs[b:])
 
 
-def _gen_labeled(task: TaskSpec, lang: SyntheticLanguageSpec, count: int,
+def _gen_labeled(task: TaskSpec, lang: SyntheticLanguageSpec, split: str, count: int,
                  rng: np.random.Generator, seen: set[str]) -> list[tuple[list[str], object]]:
     """Labeled high-resource sentences; labels computable by oracle_label."""
     neutral = _neutral_inventory(task, lang)
     marker_sets = task.marker_sets()
     samples = []
     next_class = 0
+    duplicates = 0
     while len(samples) < count:
         n = int(rng.integers(task.min_len, task.max_len + 1))
         sent = [neutral[i] for i in rng.integers(len(neutral), size=n).tolist()]
@@ -270,7 +294,11 @@ def _gen_labeled(task: TaskSpec, lang: SyntheticLanguageSpec, count: int,
                 sent.insert(pos, marker_sets[c][0])
         key = " ".join(sent)
         if key in seen:
+            duplicates += 1
+            if duplicates == _MAX_DUPLICATE_RUN:
+                raise _too_few_sentences(split, len(samples), count, task.min_len, task.max_len)
             continue
+        duplicates = 0
         seen.add(key)
         samples.append((sent, label))
         if task.kind == "multi_class":
@@ -292,9 +320,9 @@ def gen_classification_dataset(task: TaskSpec, lang: SyntheticLanguageSpec,
     check_markers_fit(task, lang)
     rng = np.random.default_rng(np.random.SeedSequence([lang.seed, task.n_classes, 0xD5]))
     seen: set[str] = set()
-    hr_train = _gen_labeled(task, lang, sizes[0], rng, seen)
-    hr_dev = _gen_labeled(task, lang, sizes[1], rng, seen)
-    hr_test = _gen_labeled(task, lang, sizes[2], rng, seen)
+    hr_train = _gen_labeled(task, lang, "train", sizes[0], rng, seen)
+    hr_dev = _gen_labeled(task, lang, "dev", sizes[1], rng, seen)
+    hr_test = _gen_labeled(task, lang, "test", sizes[2], rng, seen)
 
     trans_rng = np.random.default_rng(np.random.SeedSequence([lang.seed, 0x7A]))
     def translate_split(split):

@@ -37,7 +37,8 @@ class TcConfig:
     multi_label: bool = False
 
     def __post_init__(self):
-        for name, low in (("n_classes", 1), ("max_len", 2), ("n_layers", 0), ("n_heads", 1)):
+        for name, low in (("d_model", 1), ("n_layers", 0), ("n_heads", 1), ("d_ff", 1),
+                          ("max_len", 2), ("n_classes", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"TcConfig.{name}={getattr(self, name)}: must be >= {low}")
         if self.d_model % self.n_heads:

@@ -1,9 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import difftt
 from difftt.mt import MtConfig, MtModel
 from difftt.tc import TcConfig, TcModel
 from difftt.vocab import SPECIALS, Vocabulary
+
+
+SRC = str(Path(difftt.__file__).resolve().parents[1])
+
+
+def fresh_python(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """`python ARGS` in a new interpreter that imports the difftt under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def micro_vocab(n_tokens: int = 15) -> Vocabulary:

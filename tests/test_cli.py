@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from conftest import fresh_python
 from difftt.cli import main
 
 
@@ -112,6 +113,19 @@ def test_out_of_range_config_fails_before_training(tmp_path, section, value):
     assert err["error"]["category"] == "invalid-config-or-data"
     assert "config.json" in err["error"]["message"]
     assert not (tmp_path / "run").exists()
+
+
+def test_too_small_sentence_space_fails_cleanly(tmp_path):
+    # only the empty sentence exists; run in a fresh interpreter with a
+    # timeout, since the failure this guards against is a generation that
+    # never ends
+    cfg = write_config(tmp_path, task={"kind": "multi_label", "min_len": 0, "max_len": 0,
+                                       "label_prob": 0.0})
+    done = fresh_python("-m", "difftt.cli", "gen-data", str(cfg), timeout=60)
+    assert done.returncode == 2
+    err = json.loads(done.stderr.strip().splitlines()[-1])
+    assert err["error"]["category"] == "invalid-config-or-data"
+    assert "train split: 1 of 40 distinct sentences" in err["error"]["message"]
 
 
 def test_malformed_config_names_the_file(tmp_path):

@@ -121,6 +121,13 @@ def test_config_checks_sweep_keys(tmp_path):
     ({"finetune": {"warmup_steps": -1}}, "TrainConfig.warmup_steps=-1"),
     ({"mt_train": {"weight_decay": -0.01}}, "TrainConfig.weight_decay=-0.01"),
     ({"tc_train": {"max_grad_norm": -1.0}}, "TrainConfig.max_grad_norm=-1.0"),
+    ({"mt_model": {"n_layers": -1}}, "MtConfig.n_layers=-1: must be >= 0"),
+    ({"mt_model": {"d_model": 0, "n_heads": 1}}, "MtConfig.d_model=0: must be >= 1"),
+    ({"mt_model": {"d_ff": 0}}, "MtConfig.d_ff=0: must be >= 1"),
+    ({"mt_model": {"d_ff": -4}}, "MtConfig.d_ff=-4: must be >= 1"),
+    ({"tc_model": {"d_model": 0, "n_heads": 1}}, "TcConfig.d_model=0: must be >= 1"),
+    ({"tc_model": {"d_ff": 0}}, "TcConfig.d_ff=0: must be >= 1"),
+    ({"tc_model": {"d_ff": -4}}, "TcConfig.d_ff=-4: must be >= 1"),
 ])
 def test_config_rejects_out_of_range_settings(tmp_path, data, match):
     with pytest.raises(ValueError, match=match):

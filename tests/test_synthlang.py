@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import fresh_python
 from difftt.synthlang import (DatasetBundle, SyntheticLanguageSpec, TaskSpec,
                               assert_disjoint_splits, degrade_language,
                               gen_classification_dataset, gen_language_pair,
@@ -145,6 +146,30 @@ def test_specs_at_the_range_ends_load():
 def test_gen_language_pair_rejects_degenerate():
     with pytest.raises(ValueError, match="n_content_tokens=0: must be >= 1"):
         gen_language_pair(SyntheticLanguageSpec(n_content_tokens=0))
+
+
+@pytest.mark.parametrize("call,message", [
+    # one distinct sentence exists (empty, no labels), and each split wants three
+    ("gen_classification_dataset(TaskSpec(kind='multi_label', min_len=0, max_len=0, "
+     "label_prob=0.0), SyntheticLanguageSpec(), sizes=(3, 3, 3))",
+     "train split: 1 of 3 distinct sentences drawn, then 10000 duplicates in a row; "
+     "min_len=0, max_len=0"),
+    # two distinct sentences ("" and "w000") for three one-sentence splits
+    ("gen_language_pair(SyntheticLanguageSpec(n_content_tokens=1, n_function_words=0), "
+     "sizes=(1, 1, 1), min_len=0, max_len=1)",
+     "parallel test split: 0 of 1 distinct sentences drawn"),
+], ids=["labeled", "parallel"])
+def test_too_few_distinct_sentences_fails_instead_of_hanging(call, message):
+    # a fresh interpreter with a timeout, since the failure this guards
+    # against is a draw loop that never ends
+    code = ("from difftt.synthlang import *\n"
+            "try:\n"
+            f"    {call}\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    done = fresh_python("-c", code, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert message in done.stdout
 
 
 def test_oracle_label_multi_class():
