@@ -7,10 +7,8 @@ from a few thousand parallel sentences and has an exact reference for BLEU.
 Run: python3 demos/02_train_translator.py   (about a minute on a laptop CPU)
 """
 
-import numpy as np
-
 from difftt.harness import shared_vocabulary
-from difftt.mt import MtConfig, MtModel, TrainConfig, evaluate_bleu, train_mt
+from difftt.mt import MtConfig, MtModel, TrainConfig, evaluate_bleu, train_mt, translate
 from difftt.synthlang import SyntheticLanguageSpec, gen_language_pair
 
 
@@ -36,8 +34,7 @@ def main():
     print(f"test BLEU {evaluate_bleu(model, test_src, test_refs):.3f}")
 
     src, tgt = corpus.test[0]
-    out = vocab.decode([t for t in model.greedy_decode(vocab.encode(tgt))
-                        if t != vocab.eos_id])
+    out = translate(model, [vocab.encode(tgt)])[0]
     print("target text: ", " ".join(tgt))
     print("translation: ", " ".join(out))
     print("reference:   ", " ".join(src))

@@ -20,6 +20,6 @@ from .synthlang import (DatasetBundle, SyntheticLanguageSpec, TaskSpec,
                         degrade_language, gen_classification_dataset,
                         gen_language_pair, oracle_label)
 from .tc import Prediction, TcConfig, TcModel, train_tc
-from .vocab import Vocabulary, assert_alignment, build_shared_vocab
+from .vocab import Vocabulary, assert_alignment
 
 __version__ = "0.1.0"

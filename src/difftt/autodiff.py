@@ -355,8 +355,8 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 def softmax(x: Tensor, temperature: float = 1.0, axis: int = -1) -> Tensor:
     """Softmax with temperature; rows sum to 1 within 1e-12."""
-    if temperature <= 0:
-        raise ValueError("softmax temperature must be positive")
+    if not temperature > 0:  # NaN fails too
+        raise ValueError(f"softmax temperature must be positive, got {temperature}")
     z = x.data / temperature
     z = z - z.max(axis=axis, keepdims=True)
     e = np.exp(z)

@@ -18,7 +18,8 @@ SIMPLEX_TOL = 1e-9
 
 def _check_simplex(p: np.ndarray):
     sums = p.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > SIMPLEX_TOL) or np.any(p < -SIMPLEX_TOL):
+    # written so that NaN, for which every comparison is False, fails
+    if not (np.all(np.abs(sums - 1.0) <= SIMPLEX_TOL) and np.all(p >= -SIMPLEX_TOL)):
         raise ValueError(
             f"distribution is off the probability simplex beyond {SIMPLEX_TOL:g} "
             f"(sum range [{sums.min():.12f}, {sums.max():.12f}], min entry {p.min():.3g})"

@@ -15,6 +15,10 @@ from pathlib import Path
 from .synthlang import DatasetBundle, ParallelCorpus, SyntheticLanguageSpec, TaskSpec
 
 MANIFEST_VERSION = 1
+# The splits of a bundle besides its few-shot pools: the labeled ones, each
+# in <name>.tsv, and those of the parallel corpus, each in parallel_<name>.tsv.
+_LABELED_SPLITS = ("hr_train", "hr_dev", "hr_test", "tg_test", "selection_dev")
+_PARALLEL_SPLITS = ("train", "dev", "test")
 
 
 def write_parallel(path, pairs):
@@ -62,29 +66,19 @@ def write_bundle(bundle: DatasetBundle, directory):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     ml = bundle.task.kind == "multi_label"
-    write_labeled(directory / "hr_train.tsv", bundle.hr_train, ml)
-    write_labeled(directory / "hr_dev.tsv", bundle.hr_dev, ml)
-    write_labeled(directory / "hr_test.tsv", bundle.hr_test, ml)
-    write_labeled(directory / "tg_test.tsv", bundle.tg_test, ml)
-    write_labeled(directory / "selection_dev.tsv", bundle.selection_dev, ml)
+    sizes = {"few_shot": sorted(bundle.few_shot)}
+    for name in _LABELED_SPLITS:
+        samples = getattr(bundle, name)
+        write_labeled(directory / f"{name}.tsv", samples, ml)
+        sizes[name] = len(samples)
     for k, pool in bundle.few_shot.items():
         write_labeled(directory / f"few_shot_{k}.tsv", pool, ml)
-    write_parallel(directory / "parallel_train.tsv", bundle.parallel.train)
-    write_parallel(directory / "parallel_dev.tsv", bundle.parallel.dev)
-    write_parallel(directory / "parallel_test.tsv", bundle.parallel.test)
-    manifest = {
-        "manifest_version": MANIFEST_VERSION,
-        "task": dataclasses.asdict(bundle.task),
-        "lang": dataclasses.asdict(bundle.lang),
-        "sizes": {
-            "hr_train": len(bundle.hr_train), "hr_dev": len(bundle.hr_dev),
-            "hr_test": len(bundle.hr_test),
-            "parallel_train": len(bundle.parallel.train),
-            "parallel_dev": len(bundle.parallel.dev),
-            "parallel_test": len(bundle.parallel.test),
-            "few_shot": sorted(bundle.few_shot),
-        },
-    }
+    for name in _PARALLEL_SPLITS:
+        pairs = getattr(bundle.parallel, name)
+        write_parallel(directory / f"parallel_{name}.tsv", pairs)
+        sizes[f"parallel_{name}"] = len(pairs)
+    manifest = {"manifest_version": MANIFEST_VERSION, "task": dataclasses.asdict(bundle.task),
+                "lang": dataclasses.asdict(bundle.lang), "sizes": sizes}
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
@@ -116,19 +110,10 @@ def read_bundle(directory) -> DatasetBundle:
     except TypeError as exc:  # unknown or missing spec fields
         raise ValueError(f"{path}: {exc}") from exc
     ml = task.kind == "multi_label"
-    few_shot = {k: read_labeled(directory / f"few_shot_{k}.tsv", ml)
-                for k in manifest["sizes"]["few_shot"]}
     return DatasetBundle(
         task=task, lang=lang,
-        hr_train=read_labeled(directory / "hr_train.tsv", ml),
-        hr_dev=read_labeled(directory / "hr_dev.tsv", ml),
-        hr_test=read_labeled(directory / "hr_test.tsv", ml),
-        tg_test=read_labeled(directory / "tg_test.tsv", ml),
-        selection_dev=read_labeled(directory / "selection_dev.tsv", ml),
-        few_shot=few_shot,
-        parallel=ParallelCorpus(
-            train=read_parallel(directory / "parallel_train.tsv"),
-            dev=read_parallel(directory / "parallel_dev.tsv"),
-            test=read_parallel(directory / "parallel_test.tsv"),
-        ),
-    )
+        **{name: read_labeled(directory / f"{name}.tsv", ml) for name in _LABELED_SPLITS},
+        few_shot={k: read_labeled(directory / f"few_shot_{k}.tsv", ml)
+                  for k in manifest["sizes"]["few_shot"]},
+        parallel=ParallelCorpus(**{name: read_parallel(directory / f"parallel_{name}.tsv")
+                                   for name in _PARALLEL_SPLITS}))

@@ -20,14 +20,13 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 from .data_io import read_bundle, read_json, write_bundle
-from .metrics import score
 from .mt import MtConfig, MtModel, evaluate_bleu, train_mt
 from .optim import TrainConfig
 from .pipeline import FreezingPolicy, TranslateTestPipeline, check_lengths, translate_corpus
 from .synthlang import (DatasetBundle, SyntheticLanguageSpec, TaskSpec, check_markers_fit,
                         degrade_language, gen_classification_dataset)
 from .tc import TcConfig, TcModel, train_tc
-from .vocab import Vocabulary, build_shared_vocab
+from .vocab import SPECIALS, Vocabulary
 
 
 # the class each override section of ExperimentConfig is passed to
@@ -40,6 +39,16 @@ _SECTION_KEYS = {section: {f.name for f in dataclasses.fields(target)}
                  - ({"seed"} if target is TrainConfig else set())
                  for section, target in _SECTIONS.items()}
 _SECTION_KEYS["sweep"] = {"severity", "budgets"}
+_METHODS = ("lm", "pipeline", "translate_train")
+
+
+def _check_counts(key: str, values, length: int | None = None):
+    """Raise ``ValueError`` unless ``values`` is a list of non-negative
+    integers, ``length`` of them when given."""
+    if not (isinstance(values, (list, tuple)) and (length is None or len(values) == length)
+            and all(type(v) is int and v >= 0 for v in values)):
+        what = f"{length} non-negative integers" if length else "non-negative integers"
+        raise ValueError(f"{key} must be {what}, got {values!r}")
 
 
 @dataclass
@@ -66,17 +75,15 @@ class ExperimentConfig:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """A config from plain data. An unknown key, at the top level, in an
         override section or in ``sweep``, a training section's ``seed`` (the
         run seeds set it), an out-of-range task, language, model, training or
         freezing setting, marker tokens past the content inventory, a
-        classifier too short for the translator's decodes, an empty
-        ``seeds`` and a repeated seed or budget raise ``ValueError``."""
+        classifier too short for the translator's decodes, split sizes, seeds
+        or budgets that are not non-negative integers (three of each sizes),
+        an empty ``seeds``, a repeated seed or budget, a sweep severity
+        outside [0, 1] and unknown or no ``methods`` raise ``ValueError``."""
         unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -96,15 +103,22 @@ class ExperimentConfig:
         # build the model, training and freezing configs once, so that a value
         # out of range fails here, before any data is generated or model trained
         try:
-            task = config.task_spec()
-            check_markers_fit(task, config.lang_spec())
+            task, lang = config.task_spec(), config.lang_spec()
+            check_markers_fit(task, lang)
             check_lengths(MtConfig(**config.mt_model), config.tc_config(task))
             for which in ("mt", "tc", "finetune"):
                 config.train_config(which, seed=0)
             config.freezing_policy()
+            degrade_language(lang, float(config.sweep.get("severity", 0.8)))
+            if not config.methods or not set(config.methods) <= set(_METHODS):
+                raise ValueError(f"methods {config.methods!r}: give one or more of "
+                                 f"{list(_METHODS)}")
+            _check_counts("sizes", config.sizes, 3)
+            _check_counts("parallel_sizes", config.parallel_sizes, 3)
             # a repeat would write duplicate report rows, or overwrite a sweep column
             for key, values in (("seeds", config.seeds), ("budgets", config.budgets),
                                 ("sweep budgets", config.sweep.get("budgets", [0]))):
+                _check_counts(key, values)
                 if len(set(values)) < len(values):
                     raise ValueError(f"{key} {values} repeat a value")
         except TypeError as exc:  # e.g. a string where a number belongs
@@ -154,9 +168,10 @@ class ExperimentConfig:
 
 
 def shared_vocabulary(lang: SyntheticLanguageSpec) -> Vocabulary:
-    """One vocabulary covering both languages' full token inventories."""
+    """One vocabulary covering both languages' full token inventories, in
+    sorted order after the specials."""
     inventory = lang.function_words() + lang.source_content() + lang.target_content()
-    return build_shared_vocab([[ [t] for t in inventory ]])
+    return Vocabulary(SPECIALS + sorted(set(inventory)))
 
 
 def generate_bundle(config: ExperimentConfig,
@@ -281,12 +296,6 @@ class RunReport:
             writer.writerows(self.rows)
 
 
-def _eval_tokens(model: TcModel, samples) -> float:
-    ids = [model.vocab.encode(t)[: model.config.max_len - 1] for t, _ in samples]
-    return score(model.classify_tokens_batch(ids), [g for _, g in samples],
-                 model.config.multi_label)
-
-
 def _check_budgets(budgets, bundle: DatasetBundle):
     """A budget is 0 (zero-shot) or the size of one of the bundle's few-shot pools."""
     for budget in budgets:
@@ -354,7 +363,7 @@ def cmd_evaluate(config: ExperimentConfig, bundle: DatasetBundle | None = None) 
     report = RunReport(name=config.name, metric_kind=metric_kind)
     test = bundle.tg_test
     methods = set(config.methods)
-    unknown = methods - {"lm", "pipeline", "translate_train"}
+    unknown = methods - set(_METHODS)
     if unknown:
         raise ValueError(f"unknown methods requested: {sorted(unknown)}")
     _check_budgets(config.budgets, bundle)
@@ -386,14 +395,14 @@ def cmd_evaluate(config: ExperimentConfig, bundle: DatasetBundle | None = None) 
         for budget in config.budgets:
             if "lm" in methods:
                 model = few_shot_classifier(config, bundle, seed, budget, tc, tc_state)
-                add_row("lm", lambda: _eval_tokens(model, test))
+                add_row("lm", lambda: model.evaluate_metric(test))
             if "pipeline" in methods:
                 pipe, _ = few_shot_pipeline(config, bundle, seed, budget, mt, tc, trained)
                 add_row("pipeline_soft", lambda: pipe.evaluate_metric(test))
                 add_row("pipeline_hard", lambda: pipe.evaluate_metric(test, hard=True))
             if "translate_train" in methods:
                 model = few_shot_classifier(config, bundle, seed, budget, tt, tt_state)
-                add_row("translate_train", lambda: _eval_tokens(model, test))
+                add_row("translate_train", lambda: model.evaluate_metric(test))
 
     report.compute_averages()
     report.write(Path(config.out_dir) / "report")

@@ -167,10 +167,6 @@ class MtModel:
         x = ad.layer_norm(x, self.dec_ln[0].tensor, self.dec_ln[1].tensor)
         return ad.affine(x, self.out_proj[0].tensor, self.out_proj[1].tensor)
 
-    def greedy_decode(self, source_ids) -> np.ndarray:
-        """Greedy decoding of one source; returns tokens up to and including EOS."""
-        return self.greedy_decode_batch(np.asarray([list(source_ids)]))[0]
-
     def greedy_decode_batch(self, src_ids: np.ndarray, keep_probs: bool = False) -> GreedyDecode:
         """Batched incremental greedy decoding.
 
@@ -420,13 +416,15 @@ def train_mt(model: MtModel, train_pairs, dev_pairs, config: TrainConfig | None 
     return MtTrainResult(**vars(result))
 
 
+def translate(model: MtModel, sources_ids: list[list[int]]) -> list[list[str]]:
+    """The greedy translations of token-id sources, as tokens with EOS stripped."""
+    vocab = model.vocab
+    decoded = model.greedy_decode_batch(_pad_batch(sources_ids, vocab.pad_id))
+    return [vocab.decode([t for t in seq if t != vocab.eos_id]) for seq in decoded]
+
+
 def evaluate_bleu(model: MtModel, sources_ids: list[list[int]], references: list[list[str]]) -> float:
     """Corpus BLEU of greedy translations (EOS stripped) against references."""
     from .metrics import corpus_bleu
 
-    decoded = model.greedy_decode_batch(_pad_batch(sources_ids, model.vocab.pad_id))
-    cands = []
-    for seq in decoded:
-        toks = [t for t in seq if t != model.vocab.eos_id]
-        cands.append(model.vocab.decode(toks))
-    return corpus_bleu(cands, references)
+    return corpus_bleu(translate(model, sources_ids), references)

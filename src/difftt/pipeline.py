@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .data_io import read_json
 from .metrics import score
-from .mt import MtConfig, MtModel, _pad_batch
+from .mt import MtConfig, MtModel, _pad_batch, translate
 from .optim import FitResult, TrainConfig, fit
 from .tc import Prediction, TcConfig, TcModel, labels_to_matrix
 from .vocab import Vocabulary, assert_alignment
@@ -109,7 +109,6 @@ class TranslateTestPipeline:
         src = _pad_batch([list(s) for s in target_ids_batch], self.vocab.pad_id)
         decoded = self.mt.greedy_decode_batch(src, keep_probs=True)
         preds = self.tc.classify_soft_values(decoded.blocks, decoded.lengths)
-        decoded.blocks = None  # the snapshot below never sits beside the distributions
         self._translation = _Translation(src, dataclasses.replace(self.mt.config),
                                          self.mt.store.state(), list(decoded))
         return preds
@@ -278,9 +277,4 @@ def translate_corpus(reverse_mt: MtModel, samples) -> list:
     """Token-wise translate labeled samples with an en->target translator."""
     vocab = reverse_mt.vocab
     ids = [vocab.encode(toks)[: reverse_mt.config.max_source_len] for toks, _ in samples]
-    decoded = reverse_mt.greedy_decode_batch(_pad_batch(ids, vocab.pad_id))
-    out = []
-    for seq, (_, label) in zip(decoded, samples):
-        toks = vocab.decode([t for t in seq if t != vocab.eos_id])
-        out.append((toks, label))
-    return out
+    return [(toks, label) for toks, (_, label) in zip(translate(reverse_mt, ids), samples)]

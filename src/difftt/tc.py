@@ -77,9 +77,6 @@ class Prediction:
     def ranked(self) -> np.ndarray:
         return self._batch[2][self._row]
 
-    def labels_over_threshold(self, threshold: float = 0.5) -> np.ndarray:
-        return np.flatnonzero(self.scores >= threshold)
-
     def __repr__(self):
         return f"Prediction(label={self.label}, logits={self.logits})"
 
@@ -157,10 +154,6 @@ class TcModel:
         return self._forward_embedded(bridge.expected_embedding(probs, self.emb.tensor),
                                       lengths)
 
-    def classify_tokens(self, ids) -> Prediction:
-        """Classify one token-id sequence (the baseline/hard path)."""
-        return self.classify_tokens_batch([[int(i) for i in ids]])[0]
-
     def classify_tokens_batch(self, seqs: list[list[int]]) -> list[Prediction]:
         """Token-path predictions, in row blocks at the batch's padded length;
         each sequence is cut to max_len - 1 tokens. An empty row or an id
@@ -175,6 +168,12 @@ class TcModel:
         blocks = _row_blocks(len(seqs))
         return self._predictions(self._blocked_logits(
             lambda i: ad.embedding(self.emb.tensor, ids[blocks[i]]), blocks, lengths))
+
+    def evaluate_metric(self, labeled) -> float:
+        """Accuracy (multi-class) or mRP (multi-label) of the token path on
+        labeled samples, (tokens, label) pairs."""
+        preds = self.classify_tokens_batch([self.vocab.encode(toks) for toks, _ in labeled])
+        return score(preds, [label for _, label in labeled], self.config.multi_label)
 
     def classify_soft_values(self, blocks: list[np.ndarray],
                              lengths: np.ndarray) -> list[Prediction]:
@@ -258,16 +257,13 @@ def train_tc(model: TcModel, train_data, dev_data, config=None,
     cfg = config or TrainConfig(lr=3e-6)
     vocab = model.vocab
     multi_label = model.config.multi_label
-    max_body = model.config.max_len - 1
-    enc = [vocab.encode(toks)[:max_body] for toks, _ in train_data]
+    enc = [vocab.encode(toks)[: model.config.max_len - 1] for toks, _ in train_data]
     if multi_label:
         targets = labels_to_matrix([labs for _, labs in train_data], model.config.n_classes)
     else:
         targets = np.asarray([int(l) for _, l in train_data])
         if targets.size and (targets.min() < 0 or targets.max() >= model.config.n_classes):
             raise ValueError(f"label out of range [0, {model.config.n_classes})")
-    dev_enc = [vocab.encode(toks)[:max_body] for toks, _ in dev_data]
-    dev_labels = [l for _, l in dev_data]
 
     def batch_loss(idx):
         seqs = [enc[i] for i in idx]
@@ -282,6 +278,5 @@ def train_tc(model: TcModel, train_data, dev_data, config=None,
         model.save(path, extra={"epoch": epoch, "val_metric": metric})
         return path
 
-    return fit([model.store], len(enc), batch_loss,
-               lambda: score(model.classify_tokens_batch(dev_enc), dev_labels, multi_label),
+    return fit([model.store], len(enc), batch_loss, lambda: model.evaluate_metric(dev_data),
                cfg, checkpoint if checkpoint_dir is not None else None)

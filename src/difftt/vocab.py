@@ -7,7 +7,6 @@ at pipeline construction.
 
 from __future__ import annotations
 
-from collections import Counter
 from pathlib import Path
 
 PAD, BOS, EOS, UNK, CLS = "<pad>", "<bos>", "<eos>", "<unk>", "<cls>"
@@ -58,27 +57,6 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         tokens = Path(path).read_text(encoding="utf-8").splitlines()
         return cls(tokens)
-
-
-def build_shared_vocab(corpora, min_freq: int = 1) -> Vocabulary:
-    """Build one vocabulary over all corpora (iterables of token sequences).
-
-    Ordering is deterministic: specials first, then tokens by descending
-    frequency, ties broken lexicographically.
-    """
-    counts: Counter = Counter()
-    n_seqs = 0
-    for corpus in corpora:
-        for seq in corpus:
-            n_seqs += 1
-            counts.update(seq)
-    if n_seqs == 0:
-        raise ValueError("cannot build a vocabulary from empty corpora")
-    ordered = sorted(
-        (t for t, c in counts.items() if c >= min_freq and t not in SPECIALS),
-        key=lambda t: (-counts[t], t),
-    )
-    return Vocabulary(SPECIALS + ordered)
 
 
 def assert_alignment(mt_vocab: Vocabulary, tc_vocab: Vocabulary):

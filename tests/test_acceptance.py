@@ -40,7 +40,8 @@ def test_01_end_to_end_gradient_check():
     mt = micro_mt(vocab, seed=3)
     tc = micro_tc(vocab, seed=4)
     src = vocab.encode(["t3", "t7", "t1"])
-    tokens = mt.greedy_decode(src)  # frozen so finite differences stay smooth
+    # frozen so finite differences stay smooth
+    tokens = mt.greedy_decode_batch(np.asarray([src]))[0]
 
     def loss_fn():
         dec_in = np.asarray([[vocab.bos_id] + list(tokens[:-1])])

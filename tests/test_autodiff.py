@@ -145,8 +145,9 @@ def test_softmax_shift_invariance(row, c):
 
 
 def test_softmax_rejects_bad_temperature():
-    with pytest.raises(ValueError):
-        ad.softmax(Tensor(np.zeros(3)), temperature=0.0)
+    for temperature in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            ad.softmax(Tensor(np.zeros(3)), temperature=temperature)
 
 
 def test_layer_norm(rng):

@@ -73,6 +73,12 @@ def test_off_simplex_rejected(rng):
         expected_embedding(Tensor(np.asarray([0.5, 0.5, 0.5, 0.5])), emb)
     with pytest.raises(ValueError, match="simplex"):
         expected_embedding(Tensor(np.asarray([1.5, -0.5, 0.0, 0.0])), emb)
+    # NaN fails every comparison, so a check written as "reject if off by more
+    # than the tolerance" would let this row through
+    p = np.full((2, 4), 0.25)
+    p[1, 2] = np.nan
+    with pytest.raises(ValueError, match="simplex"):
+        expected_embedding(Tensor(p), emb)
 
 
 def test_shape_mismatch_rejected(rng):

@@ -115,6 +115,18 @@ def test_out_of_range_config_fails_before_training(tmp_path, section, value):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("overrides", [{"sizes": [200, 150]}, {"seeds": ["a"]}])
+def test_malformed_split_sizes_or_seeds_fail_at_gen_data(tmp_path, overrides):
+    # rejected as the config loads, before any data is written
+    path = write_config(tmp_path, **overrides)
+    result = CliRunner().invoke(main, ["gen-data", str(path)])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"]["category"] == "invalid-config-or-data"
+    assert "config.json" in err["error"]["message"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_too_small_sentence_space_fails_cleanly(tmp_path):
     # only the empty sentence exists; run in a fresh interpreter with a
     # timeout, since the failure this guards against is a generation that

@@ -41,13 +41,13 @@ def tiny_config(tmp_path, **overrides) -> ExperimentConfig:
 
 def test_config_json_roundtrip(tmp_path):
     cfg = tiny_config(tmp_path)
-    clone = ExperimentConfig.from_json(cfg.to_json())
+    clone = ExperimentConfig.from_dict(json.loads(cfg.to_json()))
     assert clone == cfg
 
 
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
-        ExperimentConfig.from_json('{"nonsense": 1}')
+        ExperimentConfig.from_dict({"nonsense": 1})
 
 
 @pytest.mark.parametrize("section", ["task", "lang", "mt_model", "tc_model", "freezing",
@@ -128,6 +128,20 @@ def test_config_checks_sweep_keys(tmp_path):
     ({"tc_model": {"d_model": 0, "n_heads": 1}}, "TcConfig.d_model=0: must be >= 1"),
     ({"tc_model": {"d_ff": 0}}, "TcConfig.d_ff=0: must be >= 1"),
     ({"tc_model": {"d_ff": -4}}, "TcConfig.d_ff=-4: must be >= 1"),
+    ({"sizes": [200, 150]}, r"sizes must be 3 non-negative integers, got \[200, 150\]"),
+    ({"sizes": [200, 150, -1]}, "sizes must be 3 non-negative integers"),
+    ({"parallel_sizes": [30, 8, 8, 8]}, "parallel_sizes must be 3 non-negative integers"),
+    ({"parallel_sizes": [30, 8.5, 8]}, "parallel_sizes must be 3 non-negative integers"),
+    ({"seeds": ["a"]}, r"seeds must be non-negative integers, got \['a'\]"),
+    ({"seeds": [1.5]}, "seeds must be non-negative integers"),
+    ({"budgets": [0, -10]}, "budgets must be non-negative integers"),
+    ({"budgets": [0, "10"]}, "budgets must be non-negative integers"),
+    ({"sweep": {"budgets": [-1]}}, "sweep budgets must be non-negative integers"),
+    ({"sweep": {"budgets": [0.5]}}, "sweep budgets must be non-negative integers"),
+    ({"methods": []}, r"methods \[\]: give one or more of"),
+    ({"methods": ["lm", "soft"]}, r"methods \['lm', 'soft'\]: give one or more of"),
+    ({"sweep": {"severity": 1.5}}, r"severity must be in \[0, 1\], got 1.5"),
+    ({"sweep": {"severity": -0.1}}, r"severity must be in \[0, 1\], got -0.1"),
 ])
 def test_config_rejects_out_of_range_settings(tmp_path, data, match):
     with pytest.raises(ValueError, match=match):

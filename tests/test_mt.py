@@ -57,8 +57,8 @@ def test_encode_rejects_bad_lengths(model, vocab):
 
 def test_greedy_decode_deterministic(model, vocab):
     src = vocab.encode(["t2", "t5", "t1"])
-    a = model.greedy_decode(src)
-    b = model.greedy_decode(src)
+    a = model.greedy_decode_batch(np.asarray([src]))[0]
+    b = model.greedy_decode_batch(np.asarray([src]))[0]
     assert np.array_equal(a, b)
     assert 1 <= len(a) <= model.config.max_decode_len
 
@@ -67,7 +67,7 @@ def test_greedy_decode_stops_at_eos_or_budget(model, vocab, rng):
     for _ in range(20):
         n = int(rng.integers(1, model.config.max_source_len + 1))
         src = [int(i) for i in rng.integers(5, len(vocab), size=n)]
-        out = model.greedy_decode(src)
+        out = model.greedy_decode_batch(np.asarray([src]))[0]
         if vocab.eos_id in out:
             assert out[-1] == vocab.eos_id
             assert vocab.eos_id not in out[:-1]
@@ -80,7 +80,7 @@ def test_argmax_ties_break_to_lowest_index(vocab):
     model = micro_mt(vocab)
     model.out_proj[0].tensor.data[:] = 0.0
     model.out_proj[1].tensor.data[:] = 0.0
-    out = model.greedy_decode(vocab.encode(["t0", "t1"]))
+    out = model.greedy_decode_batch(np.asarray([vocab.encode(["t0", "t1"])]))[0]
     assert out[0] == 0
 
 
@@ -89,7 +89,7 @@ def test_soft_decode_matches_greedy_decode(model, vocab, rng):
         n = int(rng.integers(1, model.config.max_source_len + 1))
         src = [int(i) for i in rng.integers(5, len(vocab), size=n)]
         st = model.soft_decode(src)
-        hard = model.greedy_decode(src)
+        hard = model.greedy_decode_batch(np.asarray([src]))[0]
         assert np.array_equal(st.tokens, hard)
         assert st.probs.data.shape == (len(hard), len(vocab))
         # each soft row's argmax is the greedy token
@@ -137,7 +137,7 @@ def test_batched_decode_matches_single(model, vocab, rng):
     batched = model.greedy_decode_batch(_pad_batch(seqs, vocab.pad_id))
     for s, got in zip(seqs, batched):
         padded = s + [vocab.pad_id] * (max(len(x) for x in seqs) - len(s))
-        single = model.greedy_decode(padded)
+        single = model.greedy_decode_batch(np.asarray([padded]))[0]
         assert np.array_equal(got, single)
 
 
@@ -205,7 +205,8 @@ def test_save_load_roundtrip(model, vocab, tmp_path):
     for name in model.store.names():
         assert np.array_equal(clone.store[name].data, model.store[name].data)
     src = vocab.encode(["t0", "t1"])
-    assert np.array_equal(clone.greedy_decode(src), model.greedy_decode(src))
+    assert np.array_equal(clone.greedy_decode_batch(np.asarray([src]))[0],
+                          model.greedy_decode_batch(np.asarray([src]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +327,7 @@ def draw_draft(data, model, src, kind):
     tokens, one random token, or a full-budget draft without EOS."""
     v, budget = len(model.vocab), model.config.max_decode_len
     if kind == "greedy":
-        return model.greedy_decode(src)
+        return model.greedy_decode_batch(np.asarray([src]))[0]
     if kind == "random":
         return data.draw(st.lists(st.integers(0, v - 1), min_size=1, max_size=budget))
     if kind == "single":
@@ -358,7 +359,7 @@ def test_soft_decode_from_a_draft_reaches_the_greedy_fixed_point(seed, src, kind
         got = model.soft_decode(src, draft=draft)
     finally:
         del model.decode_logits
-    assert np.array_equal(got.tokens, model.greedy_decode(src))
+    assert np.array_equal(got.tokens, model.greedy_decode_batch(np.asarray([src]))[0])
     assert np.array_equal(got.tokens, reference.tokens)
     assert got.probs.data.shape == reference.probs.data.shape
     assert np.array_equal(got.probs.data, reference.probs.data)

@@ -326,7 +326,8 @@ def test_draft_changes_neither_task_loss_nor_gradients(pipeline, vocab, rng):
         label = int(rng.integers(3))
         loss = pipeline.task_loss(ids, label).item()
         grads = task_loss_grads(pipeline, ids, label)
-        drafts = [mt.greedy_decode(ids), rng.integers(0, v, size=int(rng.integers(1, budget + 1))),
+        drafts = [mt.greedy_decode_batch(np.asarray([ids]))[0],
+                  rng.integers(0, v, size=int(rng.integers(1, budget + 1))),
                   rng.integers(0, v, size=1), rng.choice(not_eos, size=budget)]
         for draft in drafts:
             assert pipeline.task_loss(ids, label, draft=draft).item() == loss

