@@ -286,28 +286,15 @@ def shift(a: Tensor, c) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
+    """a @ b for operands of two or more dimensions, batch dimensions broadcast."""
+    if min(a.data.ndim, b.data.ndim) < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(
-            f"matmul: inner dimensions differ, {a.data.shape} vs {b.data.shape}"
+            f"matmul: needs operands of 2 or more dimensions with equal inner "
+            f"dimensions, got {a.data.shape} vs {b.data.shape}"
         )
     out = a.data @ b.data
 
     def backward(g):
-        if b.data.ndim == 1:
-            if a.requires_grad:
-                _accum(a, _unbroadcast(np.expand_dims(g, -1) * b.data, a.data.shape))
-            if b.requires_grad:
-                ga = a.data.reshape(-1, a.data.shape[-1])
-                _accum(b, ga.T @ g.reshape(-1))
-            return
-        if a.data.ndim == 1:
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(np.outer(a.data, g) if b.data.ndim == 2
-                                       else np.expand_dims(a.data, -1) * np.expand_dims(g, -2),
-                                       b.data.shape))
-            return
         if a.requires_grad:
             _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if b.requires_grad:

@@ -34,4 +34,6 @@ def expected_embedding(p: Tensor, emb_matrix: Tensor) -> Tensor:
             f"embedding matrix {emb_matrix.data.shape}"
         )
     _check_simplex(p.data)
+    if p.data.ndim == 1:  # one distribution: matmul takes it as a one-row batch
+        return ad.reshape(ad.matmul(ad.reshape(p, (1, -1)), emb_matrix), (-1,))
     return ad.matmul(p, emb_matrix)

@@ -12,6 +12,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+from .fields import check_counts
 from .synthlang import DatasetBundle, ParallelCorpus, SyntheticLanguageSpec, TaskSpec
 
 MANIFEST_VERSION = 1
@@ -109,11 +110,13 @@ def read_bundle(directory) -> DatasetBundle:
         lang = SyntheticLanguageSpec(**manifest["lang"])
     except TypeError as exc:  # unknown or missing spec fields
         raise ValueError(f"{path}: {exc}") from exc
+    few_shot = manifest["sizes"].get("few_shot") if isinstance(manifest["sizes"], dict) else None
+    check_counts(f"{path}: sizes.few_shot", few_shot)
     ml = task.kind == "multi_label"
     return DatasetBundle(
         task=task, lang=lang,
         **{name: read_labeled(directory / f"{name}.tsv", ml) for name in _LABELED_SPLITS},
         few_shot={k: read_labeled(directory / f"few_shot_{k}.tsv", ml)
-                  for k in manifest["sizes"]["few_shot"]},
+                  for k in few_shot},
         parallel=ParallelCorpus(**{name: read_parallel(directory / f"parallel_{name}.tsv")
                                    for name in _PARALLEL_SPLITS}))

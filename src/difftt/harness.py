@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 from .data_io import read_bundle, read_json, write_bundle
+from .fields import check_counts, check_fields
 from .mt import MtConfig, MtModel, evaluate_bleu, train_mt
 from .optim import TrainConfig
 from .pipeline import FreezingPolicy, TranslateTestPipeline, check_lengths, translate_corpus
@@ -33,27 +34,28 @@ from .vocab import SPECIALS, Vocabulary
 _SECTIONS = {"task": TaskSpec, "lang": SyntheticLanguageSpec, "mt_model": MtConfig,
              "tc_model": TcConfig, "freezing": FreezingPolicy, "mt_train": TrainConfig,
              "tc_train": TrainConfig, "finetune": TrainConfig}
-# the keys each section takes: its class's fields, less a training section's
-# seed, which each of the config's `seeds` sets for its runs
+# the fields of a section's class that the section refuses, and what sets them
+# instead; a section takes the other fields of its class
+_SEEDED = ({"seed"}, "the config's seeds set the training seed")
+_SET_ELSEWHERE = {"mt_train": _SEEDED, "tc_train": _SEEDED, "finetune": _SEEDED,
+                  "tc_model": ({"n_classes", "multi_label"},
+                               "the task sets n_classes and multi_label")}
 _SECTION_KEYS = {section: {f.name for f in dataclasses.fields(target)}
-                 - ({"seed"} if target is TrainConfig else set())
+                 - _SET_ELSEWHERE.get(section, (set(), ""))[0]
                  for section, target in _SECTIONS.items()}
 _SECTION_KEYS["sweep"] = {"severity", "budgets"}
+# each stage's recipe: TrainConfig's defaults with these, under the section's overrides
+_STAGE_RECIPES = {"mt": {}, "tc": dict(lr=3e-6),
+                  "finetune": dict(lr=3e-6, warmup_steps=0, grad_accum=1, batch_size=1)}
 _METHODS = ("lm", "pipeline", "translate_train")
-
-
-def _check_counts(key: str, values, length: int | None = None):
-    """Raise ``ValueError`` unless ``values`` is a list of non-negative
-    integers, ``length`` of them when given."""
-    if not (isinstance(values, (list, tuple)) and (length is None or len(values) == length)
-            and all(type(v) is int and v >= 0 for v in values)):
-        what = f"{length} non-negative integers" if length else "non-negative integers"
-        raise ValueError(f"{key} must be {what}, got {values!r}")
 
 
 @dataclass
 class ExperimentConfig:
-    """Declarative experiment description; JSON-serializable field-for-field."""
+    """Declarative experiment description; JSON-serializable field-for-field.
+    Building one checks it: an unknown or refused section key, a setting out
+    of range or of the wrong kind and a malformed list raise ``ValueError``
+    before any data is generated or model trained (README, "Command line")."""
     name: str = "experiment"
     out_dir: str = "runs/experiment"
     task: dict = field(default_factory=dict)       # TaskSpec overrides
@@ -71,61 +73,55 @@ class ExperimentConfig:
     finetune: dict = field(default_factory=dict)
     sweep: dict = field(default_factory=lambda: {"severity": 0.8, "budgets": [0]})
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """A config from plain data. An unknown key, at the top level, in an
-        override section or in ``sweep``, a training section's ``seed`` (the
-        run seeds set it), an out-of-range task, language, model, training or
-        freezing setting, marker tokens past the content inventory, a
-        classifier too short for the translator's decodes, split sizes, seeds
-        or budgets that are not non-negative integers (three of each sizes),
-        an empty ``seeds``, a repeated seed or budget, a sweep severity
-        outside [0, 1] and unknown or no ``methods`` raise ``ValueError``."""
-        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    def __post_init__(self):
         for section, known in _SECTION_KEYS.items():
-            overrides = data.get(section, {})
+            overrides = getattr(self, section)
             if not isinstance(overrides, dict):
                 raise ValueError(f"config section {section!r} must be an object, "
                                  f"got {type(overrides).__name__}")
             unknown = set(overrides) - known
             if unknown:
-                # a training section's seed is a TrainConfig field: say why it is refused
-                why = ("; the config's seeds set the training seed"
-                       if "seed" in unknown and _SECTIONS.get(section) is TrainConfig else "")
+                refused, reason = _SET_ELSEWHERE.get(section, (set(), ""))
+                why = f"; {reason}" if unknown & refused else ""
                 raise ValueError(f"unknown keys in config section {section!r}: "
                                  f"{sorted(unknown)}; it takes {sorted(known)}{why}")
-        config = cls(**data)
-        # build the model, training and freezing configs once, so that a value
-        # out of range fails here, before any data is generated or model trained
+        check_fields(self)
+        # build every section's config, so that a bad value fails here, before
+        # any data is generated or model trained
         try:
-            task, lang = config.task_spec(), config.lang_spec()
+            task, lang = self.task_spec(), self.lang_spec()
             check_markers_fit(task, lang)
-            check_lengths(MtConfig(**config.mt_model), config.tc_config(task))
-            for which in ("mt", "tc", "finetune"):
-                config.train_config(which, seed=0)
-            config.freezing_policy()
-            degrade_language(lang, float(config.sweep.get("severity", 0.8)))
-            if not config.methods or not set(config.methods) <= set(_METHODS):
-                raise ValueError(f"methods {config.methods!r}: give one or more of "
+            check_lengths(MtConfig(**self.mt_model), self.tc_config(task))
+            for which in _STAGE_RECIPES:
+                self.train_config(which, seed=0)
+            self.freezing_policy()
+            degrade_language(lang, float(self.sweep.get("severity", 0.8)))
+            if not self.methods or not set(self.methods) <= set(_METHODS):
+                raise ValueError(f"methods {self.methods!r}: give one or more of "
                                  f"{list(_METHODS)}")
-            _check_counts("sizes", config.sizes, 3)
-            _check_counts("parallel_sizes", config.parallel_sizes, 3)
+            check_counts("sizes", self.sizes, 3)
+            check_counts("parallel_sizes", self.parallel_sizes, 3)
             # a repeat would write duplicate report rows, or overwrite a sweep column
-            for key, values in (("seeds", config.seeds), ("budgets", config.budgets),
-                                ("sweep budgets", config.sweep.get("budgets", [0]))):
-                _check_counts(key, values)
+            for key, values in (("seeds", self.seeds), ("budgets", self.budgets),
+                                ("sweep budgets", self.sweep.get("budgets", [0]))):
+                check_counts(key, values)
                 if len(set(values)) < len(values):
                     raise ValueError(f"{key} {values} repeat a value")
-        except TypeError as exc:  # e.g. a string where a number belongs
+        except TypeError as exc:  # e.g. a list where a number belongs
             raise ValueError(str(exc)) from exc
-        if not config.seeds:
+        if not self.seeds:
             raise ValueError("seeds is empty; a run needs at least one seed")
-        return config
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """A config from plain data; an unknown top-level key raises ``ValueError``."""
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        return cls(**data)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -149,22 +145,16 @@ class ExperimentConfig:
         return FreezingPolicy(**self.freezing)
 
     def train_config(self, which: str, seed: int) -> TrainConfig:
-        defaults = {
-            "mt": dict(lr=3e-5, warmup_steps=500, grad_accum=2, batch_size=8),
-            "tc": dict(lr=3e-6, warmup_steps=500, grad_accum=2, batch_size=8),
-            "finetune": dict(lr=3e-6, warmup_steps=0, grad_accum=1, batch_size=1),
-        }[which]
+        """Stage ``which``'s recipe under its section's overrides, for run seed ``seed``."""
         overrides = {"mt": self.mt_train, "tc": self.tc_train,
                      "finetune": self.finetune}[which]
-        defaults.update(overrides)
-        defaults["seed"] = seed
-        return TrainConfig(**defaults)
+        return TrainConfig(**{**_STAGE_RECIPES[which], **overrides, "seed": seed})
 
     def tc_config(self, task: TaskSpec) -> TcConfig:
         """The classifier shape for ``task`` with the ``tc_model`` overrides; every
         classifier of a run, the translate-and-train one included, has it."""
-        return TcConfig(**{"n_classes": task.n_classes,
-                           "multi_label": task.kind == "multi_label", **self.tc_model})
+        return TcConfig(n_classes=task.n_classes, multi_label=task.kind == "multi_label",
+                        **self.tc_model)
 
 
 def shared_vocabulary(lang: SyntheticLanguageSpec) -> Vocabulary:
@@ -363,9 +353,6 @@ def cmd_evaluate(config: ExperimentConfig, bundle: DatasetBundle | None = None) 
     report = RunReport(name=config.name, metric_kind=metric_kind)
     test = bundle.tg_test
     methods = set(config.methods)
-    unknown = methods - set(_METHODS)
-    if unknown:
-        raise ValueError(f"unknown methods requested: {sorted(unknown)}")
     _check_budgets(config.budgets, bundle)
 
     def add_row(method: str, evaluate):

@@ -81,8 +81,6 @@ class KVCache:
 
 class MultiHeadAttention:
     def __init__(self, store: ParamStore, prefix: str, d_model: int, n_heads: int, group: str):
-        if d_model % n_heads != 0:
-            raise ValueError(f"d_model {d_model} not divisible by n_heads {n_heads}")
         self.d_model = d_model
         self.n_heads = n_heads
         self.d_head = d_model // n_heads

@@ -17,6 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .checkpoint import load_model, save_checkpoint
+from .fields import check_fields
 from .layers import (DecoderLayer, EncoderLayer, KVCache, append_along, causal_attention_mask,
                      pad_attention_mask)
 from .optim import FitResult, TrainConfig, fit
@@ -36,14 +37,12 @@ class MtConfig:
     dropout: float = 0.0       # not implemented: kept so stored configs load; must be 0
 
     def __post_init__(self):
+        check_fields(self, at_least=dict(d_model=1, n_layers=0, n_heads=1, d_ff=1,
+                                         max_source_len=1, max_decode_len=1))
         if self.dropout != 0.0:
             raise ValueError(f"MtConfig.dropout={self.dropout}: the translator has no dropout")
         if not self.temperature > 0:
             raise ValueError(f"MtConfig.temperature={self.temperature}: must be > 0")
-        for name, low in (("d_model", 1), ("n_layers", 0), ("n_heads", 1), ("d_ff", 1),
-                          ("max_source_len", 1), ("max_decode_len", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"MtConfig.{name}={getattr(self, name)}: must be >= {low}")
         if self.d_model % self.n_heads:
             raise ValueError(f"MtConfig.d_model={self.d_model}: must be divisible by "
                              f"n_heads={self.n_heads}")
@@ -381,7 +380,7 @@ def _pad_batch(seqs: list[list[int]], pad_id: int) -> np.ndarray:
     return out
 
 
-def train_mt(model: MtModel, train_pairs, dev_pairs, config: TrainConfig | None = None,
+def train_mt(model: MtModel, train_pairs, dev_pairs, config: TrainConfig,
              checkpoint_dir=None) -> MtTrainResult:
     """Teacher-forced cross-entropy training with best-validation-BLEU selection.
 
@@ -390,7 +389,6 @@ def train_mt(model: MtModel, train_pairs, dev_pairs, config: TrainConfig | None 
     the translation-quality sensitivity sweep); the model is left at the best
     validation BLEU epoch either way.
     """
-    cfg = config or TrainConfig()
     vocab = model.vocab
     enc_src = [vocab.encode(s)[: model.config.max_source_len] for s, _ in train_pairs]
     enc_tgt = [vocab.encode_target(t)[: model.config.max_decode_len + 1] for _, t in train_pairs]
@@ -411,7 +409,7 @@ def train_mt(model: MtModel, train_pairs, dev_pairs, config: TrainConfig | None 
         return path
 
     result = fit([model.store], len(enc_src), batch_loss,
-                 lambda: evaluate_bleu(model, dev_src, dev_refs), cfg,
+                 lambda: evaluate_bleu(model, dev_src, dev_refs), config,
                  checkpoint if checkpoint_dir is not None else None)
     return MtTrainResult(**vars(result))
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fields import check_fields
 from .params import Parameter, ParamStore
 
 # AdamW's moment decay rates and denominator guard; every stage uses these
@@ -17,10 +18,9 @@ EPS = 1e-8
 
 @dataclass
 class TrainConfig:
-    """Optimization settings; defaults follow the translator fine-tuning recipe
-    (AdamW, lr 3e-5, warmup 500, weight decay 0.01, clip 1.0, accumulation 2,
-    batch 8, 10 epochs). Desk-scale from-scratch runs typically override lr.
-    ``max_grad_norm=0`` means no clipping; ``warmup_steps=0`` means none."""
+    """Optimization settings; the defaults are the translator's recipe, which
+    ``ExperimentConfig.train_config`` changes per stage. ``max_grad_norm=0``
+    means no clipping; ``warmup_steps=0`` means none."""
     epochs: int = 10
     batch_size: int = 8
     lr: float = 3e-5
@@ -31,12 +31,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "grad_accum"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"TrainConfig.{name}={getattr(self, name)}: must be >= 1")
-        for name in ("lr", "warmup_steps", "weight_decay", "max_grad_norm"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"TrainConfig.{name}={getattr(self, name)}: must be >= 0")
+        check_fields(self, at_least=dict(epochs=1, batch_size=1, grad_accum=1, lr=0, seed=0,
+                                         warmup_steps=0, weight_decay=0, max_grad_norm=0))
 
 
 class AdamW:

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data_io import read_json
+from .fields import check_fields
 from .metrics import score
 from .mt import MtConfig, MtModel, _pad_batch, translate
 from .optim import FitResult, TrainConfig, fit
@@ -34,9 +35,7 @@ class FreezingPolicy:
     freeze_tc_head: bool = False
 
     def __post_init__(self):
-        if not (0.0 <= self.mt_fraction <= 1.0 and 0.0 <= self.tc_fraction <= 1.0):
-            raise ValueError(f"freezing fractions must be in [0, 1], got mt_fraction="
-                             f"{self.mt_fraction}, tc_fraction={self.tc_fraction}")
+        check_fields(self, unit=("mt_fraction", "tc_fraction"))
 
 
 @dataclass
@@ -163,7 +162,7 @@ class TranslateTestPipeline:
         return (loss, st.tokens) if return_tokens else loss
 
     def finetune_end_to_end(self, few_shot_data, selection_dev,
-                            config: TrainConfig | None = None) -> FitResult:
+                            config: TrainConfig) -> FitResult:
         """Joint fine-tuning on k target-language shots, one shot per backward
         pass; ``grad_accum`` sets how many shots one optimizer step sums.
 
@@ -181,10 +180,9 @@ class TranslateTestPipeline:
         """
         if not few_shot_data:
             raise ValueError("finetune_end_to_end needs k >= 1 samples; use predict for zero-shot")
-        cfg = config or TrainConfig(lr=3e-6, batch_size=1, warmup_steps=0, grad_accum=1)
-        if cfg.batch_size != 1:
+        if config.batch_size != 1:
             raise ValueError(f"finetune_end_to_end supports batch_size=1 only, got "
-                             f"batch_size={cfg.batch_size}; use grad_accum to sum shots")
+                             f"batch_size={config.batch_size}; use grad_accum to sum shots")
         enc = [(self.vocab.encode(toks)[: self.mt.config.max_source_len], label)
                for toks, label in few_shot_data]
         drafts = self.mt.greedy_decode_batch(_pad_batch([ids for ids, _ in enc],
@@ -196,7 +194,7 @@ class TranslateTestPipeline:
             return loss
 
         return fit([self.mt.store, self.tc.store], len(enc), shot_loss,
-                   lambda: self.evaluate_metric(selection_dev), cfg)
+                   lambda: self.evaluate_metric(selection_dev), config)
 
     def evaluate_metric(self, labeled_data, hard: bool = False) -> float:
         """Accuracy (multi-class) or mRP (multi-label) of the pipeline on

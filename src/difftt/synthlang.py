@@ -21,6 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .fields import check_fields
+
 
 @dataclass(frozen=True)
 class SyntheticLanguageSpec:
@@ -33,13 +35,8 @@ class SyntheticLanguageSpec:
     max_noise: float = 0.6
 
     def __post_init__(self):
-        if self.n_content_tokens < 1:
-            raise ValueError(f"SyntheticLanguageSpec.n_content_tokens={self.n_content_tokens}: "
-                             f"must be >= 1")
-        if self.n_function_words < 0:
-            raise ValueError(f"SyntheticLanguageSpec.n_function_words={self.n_function_words}: "
-                             f"must be >= 0")
-        _check_probabilities(self, ("reorder_prob", "noise_rate", "max_reorder", "max_noise"))
+        check_fields(self, at_least=dict(seed=0, n_function_words=0, n_content_tokens=1),
+                     unit=("reorder_prob", "noise_rate", "max_reorder", "max_noise"))
 
     def function_words(self) -> list[str]:
         return [f"f{i:02d}" for i in range(self.n_function_words)]
@@ -56,13 +53,6 @@ class SyntheticLanguageSpec:
 
     def inverse_bijection(self) -> dict[str, str]:
         return dict(_cipher(self).inverse)
-
-
-def _check_probabilities(spec, names):
-    for name in names:
-        value = getattr(spec, name)
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{type(spec).__name__}.{name}={value}: must be in [0, 1]")
 
 
 class _Cipher(NamedTuple):
@@ -126,16 +116,14 @@ class TaskSpec:
     label_prob: float = 0.3            # per-label presence prob (multi-label)
 
     def __post_init__(self):
+        check_fields(self, at_least=dict(n_classes=1, markers_per_class=1, min_len=0, max_len=0),
+                     unit=("label_prob",))
         if self.kind not in ("multi_class", "multi_label"):
             raise ValueError(f"TaskSpec.kind={self.kind!r}: must be 'multi_class' or "
                              f"'multi_label'")
-        for name in ("n_classes", "markers_per_class"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"TaskSpec.{name}={getattr(self, name)}: must be >= 1")
-        if not 0 <= self.min_len <= self.max_len:
+        if not self.min_len <= self.max_len:
             raise ValueError(f"TaskSpec.min_len={self.min_len}, max_len={self.max_len}: "
                              f"must satisfy 0 <= min_len <= max_len")
-        _check_probabilities(self, ("label_prob",))
 
     def marker_sets(self) -> list[list[str]]:
         """Per-class marker tokens, drawn from the front of the content inventory."""

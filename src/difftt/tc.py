@@ -18,6 +18,7 @@ from . import autodiff as ad
 from . import bridge
 from .autodiff import Tensor, no_grad
 from .checkpoint import load_model, save_checkpoint
+from .fields import check_fields
 from .layers import EncoderLayer
 from .metrics import score
 from .mt import _block_rows, _pad_batch, _row_blocks, pad_steps
@@ -37,10 +38,8 @@ class TcConfig:
     multi_label: bool = False
 
     def __post_init__(self):
-        for name, low in (("d_model", 1), ("n_layers", 0), ("n_heads", 1), ("d_ff", 1),
-                          ("max_len", 2), ("n_classes", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"TcConfig.{name}={getattr(self, name)}: must be >= {low}")
+        check_fields(self, at_least=dict(d_model=1, n_layers=0, n_heads=1, d_ff=1,
+                                         max_len=2, n_classes=1))
         if self.d_model % self.n_heads:
             raise ValueError(f"TcConfig.d_model={self.d_model}: must be divisible by "
                              f"n_heads={self.n_heads}")
@@ -245,7 +244,7 @@ def labels_to_matrix(labels, n_labels: int) -> np.ndarray:
     return out
 
 
-def train_tc(model: TcModel, train_data, dev_data, config=None,
+def train_tc(model: TcModel, train_data, dev_data, config: TrainConfig,
              checkpoint_dir=None) -> FitResult:
     """Train the classifier with CE (multi-class) or per-label BCE (multi-label).
 
@@ -254,7 +253,6 @@ def train_tc(model: TcModel, train_data, dev_data, config=None,
     multi-label heads. Checkpoint selection uses validation accuracy or mean
     R-Precision according to the head kind.
     """
-    cfg = config or TrainConfig(lr=3e-6)
     vocab = model.vocab
     multi_label = model.config.multi_label
     enc = [vocab.encode(toks)[: model.config.max_len - 1] for toks, _ in train_data]
@@ -279,4 +277,4 @@ def train_tc(model: TcModel, train_data, dev_data, config=None,
         return path
 
     return fit([model.store], len(enc), batch_loss, lambda: model.evaluate_metric(dev_data),
-               cfg, checkpoint if checkpoint_dir is not None else None)
+               config, checkpoint if checkpoint_dir is not None else None)

@@ -83,8 +83,10 @@ def test_matmul(rng):
         b = int(rng.integers(1, 3))
         check_op(ad.matmul, [rng.normal(size=(b, m, k)), rng.normal(size=(b, k, n))])
         check_op(ad.matmul, [rng.normal(size=(b, m, k)), rng.normal(size=(k, n))])
-    check_op(ad.matmul, [rng.normal(size=(3,)), rng.normal(size=(3, 2))])
-    check_op(ad.matmul, [rng.normal(size=(2, 3)), rng.normal(size=(3,))])
+    # a 1-D operand has no row or column axis to take a gradient along
+    for shapes in (((3,), (3, 2)), ((2, 3), (3,))):
+        with pytest.raises(ShapeError, match="2 or more dimensions"):
+            ad.matmul(*(Tensor(rng.normal(size=s)) for s in shapes))
 
 
 def test_matmul_shape_error():

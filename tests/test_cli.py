@@ -104,7 +104,10 @@ def test_unknown_key_in_a_config_section_fails_cleanly(tmp_path, text):
                                            ("task", {"n_classes": 50}),
                                            ("task", {"min_len": 9, "max_len": 3}),
                                            ("lang", {"noise_rate": 1.5}),
-                                           ("lang", {"n_content_tokens": 0})])
+                                           ("lang", {"n_content_tokens": 0}),
+                                           ("tc_train", {"epochs": 2.5}),
+                                           ("freezing", {"freeze_tc_head": "false"}),
+                                           ("finetune", {"max_grad_norm": float("nan")})])
 def test_out_of_range_config_fails_before_training(tmp_path, section, value):
     path = write_config(tmp_path, **{section: value})
     result = CliRunner().invoke(main, ["evaluate", str(path)])
@@ -187,6 +190,26 @@ def test_corrupt_manifest_fails_cleanly(tmp_path):
     err = json.loads(result.stderr.strip().splitlines()[-1])
     assert err["error"]["category"] == "invalid-config-or-data"
     assert "manifest.json" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("few_shot", [None, "10", [10, -1], [1.5], {"10": 10}])
+def test_bad_few_shot_sizes_in_the_manifest_fail_cleanly(tmp_path, few_shot):
+    # None: the manifest's sizes lack the key
+    cfg = write_config(tmp_path)
+    runner = CliRunner()
+    assert runner.invoke(main, ["gen-data", str(cfg)]).exit_code == 0
+    path = tmp_path / "run" / "data" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if few_shot is None:
+        del manifest["sizes"]["few_shot"]
+    else:
+        manifest["sizes"]["few_shot"] = few_shot
+    path.write_text(json.dumps(manifest))
+    result = runner.invoke(main, ["train-tc", str(cfg)])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"]["category"] == "invalid-config-or-data"
+    assert "manifest.json: sizes.few_shot must be non-negative integers" in err["error"]["message"]
 
 
 def test_corrupt_checkpoint_is_reported_as_bad_data(tmp_path, capsys):

@@ -2,7 +2,9 @@
 matrix, report schema and regeneration checks. Uses deliberately tiny
 configurations; statistical quality is covered by the acceptance suite."""
 
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from difftt.checkpoint import load_checkpoint
 from difftt.harness import (ExperimentConfig, RunReport, cmd_evaluate,
                             cmd_gen_data, cmd_report, cmd_sweep_bleu, cmd_train,
                             generate_bundle, shared_vocabulary)
+from difftt.optim import TrainConfig
+from difftt.pipeline import FreezingPolicy
 
 
 def tiny_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -95,7 +99,7 @@ def test_config_checks_sweep_keys(tmp_path):
     ({"finetune": {"lr": -1e-4}}, "lr=-0.0001"),
     ({"mt_model": {"temperature": 0.0}}, "temperature=0.0"),
     ({"mt_train": {"epochs": "2"}}, "not supported"),
-    ({"freezing": {"mt_fraction": 2.0}}, r"must be in \[0, 1\].*mt_fraction=2.0"),
+    ({"freezing": {"mt_fraction": 2.0}}, r"FreezingPolicy\.mt_fraction=2\.0: must be in \[0, 1\]"),
     ({"freezing": {"tc_fraction": -0.1}}, "tc_fraction=-0.1"),
     ({"seeds": []}, "seeds is empty"),
     ({"seeds": [1, 2, 1]}, r"seeds \[1, 2, 1\] repeat"),
@@ -103,7 +107,7 @@ def test_config_checks_sweep_keys(tmp_path):
     ({"sweep": {"budgets": [0, 0]}}, r"sweep budgets \[0, 0\] repeat"),
     ({"tc_model": {"max_len": 10}}, "classifier max_len 10 leaves 9 steps after CLS, fewer "
                                     "than the translator's max_decode_len 32"),
-    ({"tc_model": {"n_classes": 0}}, "TcConfig.n_classes=0"),
+    ({"tc_model": {"n_classes": 0}}, r"\['n_classes'\].*the task sets n_classes and multi_label"),
     ({"mt_model": {"n_heads": 3}}, "MtConfig.d_model=64: must be divisible by n_heads=3"),
     ({"mt_model": {"max_decode_len": 0}}, "MtConfig.max_decode_len=0"),
     ({"task": {"kind": "multiclass"}}, "TaskSpec.kind='multiclass'"),
@@ -142,6 +146,24 @@ def test_config_checks_sweep_keys(tmp_path):
     ({"methods": ["lm", "soft"]}, r"methods \['lm', 'soft'\]: give one or more of"),
     ({"sweep": {"severity": 1.5}}, r"severity must be in \[0, 1\], got 1.5"),
     ({"sweep": {"severity": -0.1}}, r"severity must be in \[0, 1\], got -0.1"),
+    # the kind each field's annotation names
+    ({"tc_train": {"epochs": 2.5}},
+     "TrainConfig.epochs=2.5: type float is not supported; must be an integer"),
+    ({"mt_train": {"batch_size": True}}, "TrainConfig.batch_size=True: type bool"),
+    ({"finetune": {"lr": False}}, "TrainConfig.lr=False: type bool"),
+    ({"freezing": {"freeze_tc_head": "false"}},
+     "FreezingPolicy.freeze_tc_head='false': type str is not supported; must be true or false"),
+    ({"freezing": {"freeze_tc_head": 0}}, "FreezingPolicy.freeze_tc_head=0: type int"),
+    ({"task": {"kind": 1}}, "TaskSpec.kind=1: type int is not supported; must be a string"),
+    ({"lang": {"noise_rate": None}}, "SyntheticLanguageSpec.noise_rate=None: type NoneType"),
+    ({"mt_model": {"max_decode_len": 8.0}}, "MtConfig.max_decode_len=8.0: type float"),
+    ({"out_dir": 5}, "ExperimentConfig.out_dir=5: type int is not supported; must be a string"),
+    ({"methods": "lm"}, "ExperimentConfig.methods='lm': type str is not supported; must be a list"),
+    # the classifier keys the task sets
+    ({"tc_model": {"multi_label": True}},
+     r"section 'tc_model': \['multi_label'\].*the task sets n_classes and multi_label"),
+    ({"task": {"n_classes": 3}, "tc_model": {"n_classes": 2}},
+     r"section 'tc_model': \['n_classes'\].*the task sets n_classes and multi_label"),
 ])
 def test_config_rejects_out_of_range_settings(tmp_path, data, match):
     with pytest.raises(ValueError, match=match):
@@ -158,6 +180,60 @@ def test_train_config_overrides(tmp_path):
     assert tc.lr == 1e-3 and tc.epochs == 1 and tc.seed == 7
     ft = cfg.train_config("finetune", seed=2)
     assert ft.batch_size == 1 and ft.seed == 2
+
+
+def test_each_stage_recipe_is_the_one_runs_have_trained_with():
+    # TrainConfig's fields for each stage of a config without overrides
+    recipes = {
+        "mt": dict(epochs=10, batch_size=8, lr=3e-5, warmup_steps=500, weight_decay=0.01,
+                   max_grad_norm=1.0, grad_accum=2),
+        "tc": dict(epochs=10, batch_size=8, lr=3e-6, warmup_steps=500, weight_decay=0.01,
+                   max_grad_norm=1.0, grad_accum=2),
+        "finetune": dict(epochs=10, batch_size=1, lr=3e-6, warmup_steps=0, weight_decay=0.01,
+                         max_grad_norm=1.0, grad_accum=1),
+    }
+    cfg = ExperimentConfig()
+    for which, recipe in recipes.items():
+        for seed in (0, 1, 7):
+            assert dataclasses.asdict(cfg.train_config(which, seed)) == {**recipe, "seed": seed}
+
+
+def test_field_kinds_take_numpy_numbers():
+    cfg = TrainConfig(epochs=np.int64(2), lr=np.float32(0.5), max_grad_norm=1)
+    assert (cfg.epochs, cfg.lr, cfg.max_grad_norm) == (2, 0.5, 1)
+    assert FreezingPolicy(mt_fraction=np.float64(0.25), tc_fraction=1).tc_fraction == 1
+
+
+# a value below each numeric field's bound, for every class of _SECTIONS
+_BELOW_BOUND = {
+    "TaskSpec": dict(n_classes=0, markers_per_class=0, min_len=-1, max_len=-1, label_prob=-0.1),
+    "SyntheticLanguageSpec": dict(seed=-1, n_function_words=-1, n_content_tokens=0,
+                                  reorder_prob=-0.1, noise_rate=-0.1, max_reorder=-0.1,
+                                  max_noise=-0.1),
+    "MtConfig": dict(d_model=0, n_layers=-1, n_heads=0, d_ff=0, max_source_len=0,
+                     max_decode_len=0, temperature=0.0, dropout=-0.1),
+    "TcConfig": dict(d_model=0, n_layers=-1, n_heads=0, d_ff=0, max_len=1, n_classes=0),
+    "FreezingPolicy": dict(mt_fraction=-0.1, tc_fraction=-0.1),
+    "TrainConfig": dict(epochs=0, batch_size=0, lr=-1e-4, warmup_steps=-1, weight_decay=-0.01,
+                        max_grad_norm=-1.0, grad_accum=0, seed=-1),
+}
+
+
+@pytest.mark.parametrize("section,field", [
+    (section, f.name) for section, target in harness._SECTIONS.items()
+    for f in dataclasses.fields(target) if f.type in ("int", "float")])
+def test_every_numeric_field_rejects_nan_and_values_below_its_bound(tmp_path, section, field):
+    target = harness._SECTIONS[section]
+    named = re.escape(f"{target.__name__}.{field}=")
+    for value in (float("nan"), _BELOW_BOUND[target.__name__][field]):
+        if field in harness._SECTION_KEYS[section]:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({section: {field: value}}))  # NaN as the NaN literal
+            with pytest.raises(ValueError, match=r"cfg\.json: " + named):
+                ExperimentConfig.load(path)
+        else:  # the run seeds or the task set it, so the section refuses it
+            with pytest.raises(ValueError, match=named):
+                target(**{field: value})
 
 
 def test_shared_vocabulary_covers_both_languages(tmp_path):
@@ -221,9 +297,9 @@ def test_evaluate_report_schema(tmp_path):
 
 
 def test_evaluate_rejects_unknown_method(tmp_path):
-    cfg = tiny_config(tmp_path, methods=["nope"])
-    with pytest.raises(ValueError, match="unknown methods"):
-        cmd_evaluate(cfg, bundle=generate_bundle(cfg))
+    # rejected as the config is built, before any command can run it
+    with pytest.raises(ValueError, match=r"methods \['nope'\]: give one or more of"):
+        tiny_config(tmp_path, methods=["nope"])
 
 
 @pytest.mark.parametrize("command", [cmd_evaluate, cmd_sweep_bleu])

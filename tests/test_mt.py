@@ -195,7 +195,7 @@ def test_train_checkpoints_and_best_restore(vocab, tmp_path):
 
 def test_empty_corpus_rejected(model):
     with pytest.raises(ValueError, match="empty"):
-        train_mt(model, [], [])
+        train_mt(model, [], [], TrainConfig())
 
 
 def test_save_load_roundtrip(model, vocab, tmp_path):

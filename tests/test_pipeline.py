@@ -460,7 +460,7 @@ def test_finetune_updates_trainable_preserves_frozen(pipeline, vocab, rng):
 
 def test_finetune_rejects_empty(pipeline):
     with pytest.raises(ValueError, match="k >= 1"):
-        pipeline.finetune_end_to_end([], [])
+        pipeline.finetune_end_to_end([], [], TrainConfig(batch_size=1))
 
 
 def test_finetune_rejects_batch_size_above_one(pipeline):
@@ -530,7 +530,8 @@ def test_load_names_pipeline_json_for_an_out_of_range_policy(pipeline, tmp_path)
     meta = json.loads(path.read_text())
     meta["freezing"]["mt_fraction"] = 2.0
     path.write_text(json.dumps(meta))
-    with pytest.raises(ValueError, match=r"pipeline\.json: freezing fractions must be in \[0, 1\]"):
+    with pytest.raises(ValueError,
+                       match=r"pipeline\.json: FreezingPolicy\.mt_fraction=2\.0: must be in \[0, 1\]"):
         TranslateTestPipeline.load(tmp_path / "pipe")
 
 
