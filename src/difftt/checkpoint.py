@@ -8,6 +8,7 @@ Layout of the archive:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import zipfile
 from pathlib import Path
@@ -60,18 +61,42 @@ def load_checkpoint(path):
         raise ValueError(f"cannot load checkpoint {path}: {exc}") from exc
 
 
-def load_model(path, model_cls, config_cls, vocab):
-    """A ``model_cls`` rebuilt from the checkpoint at ``path``: its stored
-    ``config_cls`` fields, parameter values and frozen flags. A stored config
-    the class rejects (an unknown key, a bad value) raises ``ValueError``
-    naming the file."""
-    values, frozen, meta = load_checkpoint(path)
-    try:
-        model = model_cls(vocab, config_cls(**meta["config"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"checkpoint {path} holds no valid {config_cls.__name__}: "
-                         f"{exc!r}") from exc
-    model.store.load_state(values)
-    for name, fz in frozen.items():
-        model.store[name].frozen = fz
-    return model
+class ModelFile:
+    """The model files of a class built as ``cls(vocab, config)`` whose
+    instances hold ``store`` and ``config``: checkpoints of its ``kind``."""
+    kind: str
+    config_cls: type
+
+    def save(self, path, extra: dict | None = None):
+        save_checkpoint(path, self.store.parameters(),
+                        extra_meta={**(extra or {}), "kind": self.kind,
+                                    "config": dataclasses.asdict(self.config)})
+
+    @classmethod
+    def load(cls, path, vocab):
+        """The model in the checkpoint at ``path``: its stored config,
+        parameter values and frozen flags. A checkpoint of another kind, or
+        a stored config the class rejects (an unknown key, a bad value),
+        raises ``ValueError`` naming the file."""
+        values, frozen, meta = load_checkpoint(path)
+        try:
+            if meta["kind"] != cls.kind:
+                raise ValueError(f"kind {meta['kind']!r}, not {cls.kind!r}")
+            model = cls(vocab, cls.config_cls(**meta["config"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"checkpoint {path} holds no valid {cls.__name__}: "
+                             f"{exc!r}") from exc
+        model.store.load_state(values)
+        for name, fz in frozen.items():
+            model.store[name].frozen = fz
+        return model
+
+    def epoch_saver(self, directory):
+        """``fit``'s ``checkpoint`` callback that saves each epoch to
+        ``<directory>/<kind>_epochNNN.npz``; None without a directory."""
+        def save_epoch(epoch, metric):
+            path = f"{directory}/{self.kind}_epoch{epoch:03d}.npz"
+            self.save(path, extra={"epoch": epoch, "val_metric": metric})
+            return path
+
+        return None if directory is None else save_epoch

@@ -1,4 +1,5 @@
-"""On-disk formats: parallel corpora, labeled corpora, dataset manifests.
+"""On-disk formats: parallel corpora, labeled corpora, dataset manifests,
+and the one JSON and CSV writer of every output.
 
 Parallel corpus: one record per line, source and target separated by a tab,
 tokens separated by single spaces, UTF-8.
@@ -8,9 +9,12 @@ ids (multi-label; empty field for no labels).
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 from pathlib import Path
+
+import numpy as np
 
 from .fields import check_counts
 from .synthlang import DatasetBundle, ParallelCorpus, SyntheticLanguageSpec, TaskSpec
@@ -22,44 +26,52 @@ _LABELED_SPLITS = ("hr_train", "hr_dev", "hr_test", "tg_test", "selection_dev")
 _PARALLEL_SPLITS = ("train", "dev", "test")
 
 
-def write_parallel(path, pairs):
-    lines = ["{}\t{}".format(" ".join(s), " ".join(t)) for s, t in pairs]
+def _write_rows(path, rows, field=" ".join):
+    """Write (tokens, value) rows as TSV lines: the tokens joined by spaces, a
+    tab, then ``field(value)``."""
+    lines = ("{}\t{}".format(" ".join(toks), field(value)) for toks, value in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _read_rows(path, field=str.split) -> list:
+    """The (tokens, ``field(second column)``) rows of the non-empty lines of
+    the TSV file ``path``. A line that is not UTF-8, that lacks exactly two
+    tab-separated columns or whose second column ``field`` rejects raises
+    ``ValueError`` naming ``path:line``."""
+    rows = []
+    for number, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+        if not line:
+            continue
+        try:
+            columns = line.decode("utf-8").split("\t")
+            if len(columns) != 2:
+                raise ValueError(f"{len(columns)} tab-separated columns, expected 2")
+            rows.append((columns[0].split(), field(columns[1])))
+        except ValueError as exc:  # UnicodeDecodeError is one
+            raise ValueError(f"{path}:{number}: {exc}") from exc
+    return rows
+
+
+def write_parallel(path, pairs):
+    _write_rows(path, pairs)
 
 
 def read_parallel(path):
-    pairs = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line:
-            continue
-        src, tgt = line.split("\t")
-        pairs.append((src.split(), tgt.split()))
-    return pairs
+    return _read_rows(path)
 
 
 def write_labeled(path, samples, multi_label: bool):
-    lines = []
-    for toks, label in samples:
-        if multi_label:
-            lab = ",".join(str(int(x)) for x in label)
-        else:
-            lab = str(int(label))
-        lines.append("{}\t{}".format(" ".join(toks), lab))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def field(label):
+        return ",".join(str(int(x)) for x in label) if multi_label else str(int(label))
+
+    _write_rows(path, samples, field)
 
 
 def read_labeled(path, multi_label: bool):
-    samples = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line:
-            continue
-        text, lab = line.split("\t")
-        if multi_label:
-            label = [int(x) for x in lab.split(",") if x != ""]
-        else:
-            label = int(lab)
-        samples.append((text.split(), label))
-    return samples
+    def field(text):
+        return [int(x) for x in text.split(",") if x != ""] if multi_label else int(text)
+
+    return _read_rows(path, field)
 
 
 def write_bundle(bundle: DatasetBundle, directory):
@@ -80,7 +92,34 @@ def write_bundle(bundle: DatasetBundle, directory):
         sizes[f"parallel_{name}"] = len(pairs)
     manifest = {"manifest_version": MANIFEST_VERSION, "task": dataclasses.asdict(bundle.task),
                 "lang": dataclasses.asdict(bundle.lang), "sizes": sizes}
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    write_json(directory / "manifest.json", manifest)
+
+
+def _plain_number(value):
+    """A numpy number as the Python number it holds; ``json`` calls this for
+    any value it cannot write, and anything else stays an error."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} {value!r} is not JSON serializable")
+
+
+def json_text(data) -> str:
+    """``data`` as JSON text: indent 2, sorted keys, numpy numbers as plain
+    numbers. NaN or an infinity raises ``ValueError``."""
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False, default=_plain_number)
+
+
+def write_json(path, data):
+    """Write ``data`` to ``path`` as ``json_text``."""
+    Path(path).write_text(json_text(data), encoding="utf-8")
+
+
+def write_csv(path, fields: list[str], rows: list[dict]):
+    """Write ``rows`` as CSV under a header of ``fields``."""
+    with open(path, "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=fields)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def read_json(path, required: tuple[str, ...] = ()) -> dict:
@@ -104,7 +143,8 @@ def read_bundle(directory) -> DatasetBundle:
     path = directory / "manifest.json"
     manifest = read_json(path, ("task", "lang", "sizes"))
     if manifest.get("manifest_version") != MANIFEST_VERSION:
-        raise ValueError("unsupported manifest version")
+        raise ValueError(f"{path}: unsupported manifest version "
+                         f"{manifest.get('manifest_version')!r}")
     try:
         task = TaskSpec(**manifest["task"])
         lang = SyntheticLanguageSpec(**manifest["lang"])

@@ -13,6 +13,12 @@ _KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a re
           "list": ((list, tuple), "a list"), "dict": (dict, "an object")}
 
 
+def _has_kind(value, annotation: str) -> bool:
+    """The kind rule: ``value`` is of the kind ``annotation`` names."""
+    return isinstance(value, _KINDS[annotation][0]) and (
+        annotation == "bool" or not isinstance(value, bool))
+
+
 def check_fields(config, at_least: dict | None = None, unit: tuple[str, ...] = ()):
     """Raise ``ValueError`` naming ``Class.field`` unless every field of the
     dataclass ``config`` holds its annotated kind (numpy numbers included, a
@@ -21,10 +27,9 @@ def check_fields(config, at_least: dict | None = None, unit: tuple[str, ...] = (
     name = type(config).__name__
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
-        types, kind = _KINDS[f.type]
-        if not isinstance(value, types) or (isinstance(value, bool) and f.type != "bool"):
+        if not _has_kind(value, f.type):
             raise ValueError(f"{name}.{f.name}={value!r}: type {type(value).__name__} is "
-                             f"not supported; must be {kind}")
+                             f"not supported; must be {_KINDS[f.type][1]}")
     for field, low in (at_least or {}).items():
         value = getattr(config, field)
         if not value >= low:
@@ -37,8 +42,8 @@ def check_fields(config, at_least: dict | None = None, unit: tuple[str, ...] = (
 
 def check_counts(key: str, values, length: int | None = None):
     """Raise ``ValueError`` unless ``values`` is a list of non-negative
-    integers, ``length`` of them when given."""
+    integers by the kind rule, ``length`` of them when given."""
     if not (isinstance(values, (list, tuple)) and (length is None or len(values) == length)
-            and all(type(v) is int and v >= 0 for v in values)):
+            and all(_has_kind(v, "int") and v >= 0 for v in values)):
         what = f"{length} non-negative integers" if length else "non-negative integers"
         raise ValueError(f"{key} must be {what}, got {values!r}")

@@ -13,20 +13,17 @@ def finite_difference_check(
     eps: float = 1e-5,
     n_coords: int = 200,
     rng: np.random.Generator | None = None,
-    include_frozen: bool = False,
 ) -> float:
     """Compare backprop gradients with central differences on sampled coordinates.
 
     ``loss_fn`` recomputes the scalar loss Tensor from the current parameter
     values; it must be deterministic. Returns the max relative error over the
-    sampled coordinates: |a - n| / max(|a|, |n|, 1e-6). Frozen parameters are
-    excluded from sampling unless ``include_frozen``. A frozen parameter has
-    no analytic gradient (its ``grad`` stays None) and is compared as zero,
-    so including one is only meaningful where the loss does not depend on it.
+    sampled coordinates: |a - n| / max(|a|, |n|, 1e-6). Frozen parameters
+    have no analytic gradient and are not sampled.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    candidates = [p for p in params if include_frozen or not p.frozen]
+    candidates = [p for p in params if not p.frozen]
     if not candidates:
         raise ValueError("no parameters to check")
 

@@ -11,15 +11,13 @@ config, so reports regenerate bit-identically.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import json
 import math
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-from .data_io import read_bundle, read_json, write_bundle
+from .data_io import json_text, read_bundle, read_json, write_bundle, write_csv, write_json
 from .fields import check_counts, check_fields
 from .mt import MtConfig, MtModel, evaluate_bleu, train_mt
 from .optim import TrainConfig
@@ -113,7 +111,7 @@ class ExperimentConfig:
             raise ValueError("seeds is empty; a run needs at least one seed")
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json_text(asdict(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -184,7 +182,7 @@ def cmd_gen_data(config: ExperimentConfig, force: bool = False) -> Path:
     bundle = generate_bundle(config)
     write_bundle(bundle, out)
     shared_vocabulary(config.lang_spec()).save(out / "vocab.txt")
-    (Path(config.out_dir) / "config.json").write_text(config.to_json())
+    write_json(Path(config.out_dir) / "config.json", asdict(config))
     return out
 
 
@@ -240,7 +238,7 @@ def cmd_train(which: str, config: ExperimentConfig, seed: int | None = None) -> 
                "validation_curve": result.val_metric, "train_loss": result.train_loss,
                "best_checkpoint": str(best_path),
                "epoch_checkpoints": result.checkpoint_paths}
-    (ckpt_dir / "training.json").write_text(json.dumps(summary, indent=2))
+    write_json(ckpt_dir / "training.json", summary)
     return summary
 
 
@@ -273,17 +271,14 @@ class RunReport:
                                 if method == "pipeline_soft" and ("pipeline_hard", budget) in means}
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json_text(asdict(self))
 
     def write(self, directory):
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / "report.json").write_text(self.to_json())
-        with open(directory / "report.csv", "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=["method", "budget", "seed",
-                                                   "metric", "ms_per_sample"])
-            writer.writeheader()
-            writer.writerows(self.rows)
+        write_json(directory / "report.json", asdict(self))
+        write_csv(directory / "report.csv", ["method", "budget", "seed", "metric",
+                                             "ms_per_sample"], self.rows)
 
 
 def _check_budgets(budgets, bundle: DatasetBundle):
@@ -427,8 +422,7 @@ def cmd_sweep_bleu(config: ExperimentConfig, bundle: DatasetBundle | None = None
 
     tc, _ = train_tc_component(config, bundle, vocab, seed)
     tc_state = tc.store.state()
-    test_src = [vocab.encode(t)[: mt.config.max_source_len]
-                for _, t in bundle.parallel.test]
+    test_src = [mt.source_ids(t) for _, t in bundle.parallel.test]
     test_refs = [list(s) for s, _ in bundle.parallel.test]
 
     series = []
@@ -454,13 +448,9 @@ def cmd_sweep_bleu(config: ExperimentConfig, bundle: DatasetBundle | None = None
 
     sweep_dir = Path(config.out_dir) / "sweep"
     sweep_dir.mkdir(parents=True, exist_ok=True)
-    (sweep_dir / "sweep.json").write_text(json.dumps(out, indent=2, sort_keys=True,
-                                                     allow_nan=False))
-    with open(sweep_dir / "sweep.csv", "w", newline="") as f:
-        fields = ["checkpoint", "bleu"] + [f"metric_k{b}" for b in budgets]
-        writer = csv.DictWriter(f, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(series)
+    write_json(sweep_dir / "sweep.json", out)
+    write_csv(sweep_dir / "sweep.csv", ["checkpoint", "bleu"] + [f"metric_k{b}" for b in budgets],
+              series)
     return out
 
 
@@ -475,11 +465,17 @@ def cmd_report(out_dir) -> RunReport:
                          f"unknown keys {unknown}, missing keys {missing}")
     report = RunReport(**data)
     stored = report.averages
-    report.compute_averages()
+    if not (isinstance(report.rows, list) and isinstance(stored, list)):
+        raise ValueError(f"{path}: rows and averages must be lists")
+    try:
+        report.compute_averages()
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: rows must be objects holding every key of a row, "
+                         f"with numeric metrics: {exc!r}") from exc
     if len(stored) != len(report.averages):
-        raise ValueError(f"stored averages do not recompute: {len(stored)} stored rows "
+        raise ValueError(f"{path}: stored averages do not recompute: {len(stored)} stored rows "
                          f"vs {len(report.averages)} recomputed")
     for a, b in zip(stored, report.averages):
         if a != b:
-            raise ValueError(f"stored averages do not recompute: {a} vs {b}")
+            raise ValueError(f"{path}: stored averages do not recompute: {a} vs {b}")
     return report

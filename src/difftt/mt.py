@@ -10,13 +10,13 @@ token column and reads earlier keys and values from a per-layer cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .checkpoint import load_model, save_checkpoint
+from .checkpoint import ModelFile
 from .fields import check_fields
 from .layers import (DecoderLayer, EncoderLayer, KVCache, append_along, causal_attention_mask,
                      pad_attention_mask)
@@ -85,7 +85,9 @@ class DecodeCache:
         self.length = 0
 
 
-class MtModel:
+class MtModel(ModelFile):
+    kind, config_cls = "mt", MtConfig
+
     def __init__(self, vocab: Vocabulary, config: MtConfig | None = None, seed: int = 0):
         self.vocab = vocab
         self.config = config or MtConfig()
@@ -112,6 +114,10 @@ class MtModel:
         """Freezable layer groups ordered from the input side."""
         n = self.config.n_layers
         return [f"enc{i}" for i in range(n)] + [f"dec{i}" for i in range(n)]
+
+    def source_ids(self, tokens: list[str]) -> list[int]:
+        """The token ids of a source sentence, cut to ``max_source_len``."""
+        return self.vocab.encode(tokens)[: self.config.max_source_len]
 
     # ------------------------------------------------------------------
     # forward passes
@@ -307,20 +313,6 @@ class MtModel:
             probs[rows] = pad_steps(block, lengths[rows], probs.shape[1], self.vocab.pad_id)
         return probs, list(decoded), lengths
 
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-
-    def save(self, path, extra: dict | None = None):
-        meta = {"kind": "mt", "config": asdict(self.config)}
-        if extra:
-            meta.update(extra)
-        save_checkpoint(path, self.store.parameters(), extra_meta=meta)
-
-    @classmethod
-    def load(cls, path, vocab: Vocabulary) -> "MtModel":
-        return load_model(path, cls, MtConfig, vocab)
-
 
 # ---------------------------------------------------------------------------
 # training
@@ -390,9 +382,9 @@ def train_mt(model: MtModel, train_pairs, dev_pairs, config: TrainConfig,
     validation BLEU epoch either way.
     """
     vocab = model.vocab
-    enc_src = [vocab.encode(s)[: model.config.max_source_len] for s, _ in train_pairs]
+    enc_src = [model.source_ids(s) for s, _ in train_pairs]
     enc_tgt = [vocab.encode_target(t)[: model.config.max_decode_len + 1] for _, t in train_pairs]
-    dev_src = [vocab.encode(s)[: model.config.max_source_len] for s, _ in dev_pairs]
+    dev_src = [model.source_ids(s) for s, _ in dev_pairs]
     dev_refs = [list(t) for _, t in dev_pairs]
 
     def batch_loss(idx):
@@ -403,14 +395,9 @@ def train_mt(model: MtModel, train_pairs, dev_pairs, config: TrainConfig,
         mask = (tgt[:, 1:] != vocab.pad_id).astype(np.float64)
         return ad.cross_entropy(logits, tgt[:, 1:], mask=mask)
 
-    def checkpoint(epoch, bleu):
-        path = str(checkpoint_dir) + f"/mt_epoch{epoch:03d}.npz"
-        model.save(path, extra={"epoch": epoch, "val_bleu": bleu})
-        return path
-
     result = fit([model.store], len(enc_src), batch_loss,
                  lambda: evaluate_bleu(model, dev_src, dev_refs), config,
-                 checkpoint if checkpoint_dir is not None else None)
+                 model.epoch_saver(checkpoint_dir))
     return MtTrainResult(**vars(result))
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -17,12 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data_io import read_json
+from .data_io import read_json, write_json
 from .fields import check_fields
 from .metrics import score
 from .mt import MtConfig, MtModel, _pad_batch, translate
 from .optim import FitResult, TrainConfig, fit
-from .tc import Prediction, TcConfig, TcModel, labels_to_matrix
+from .tc import Prediction, TcConfig, TcModel
 from .vocab import Vocabulary, assert_alignment
 
 
@@ -154,11 +153,7 @@ class TranslateTestPipeline:
         st = self.mt.soft_decode(list(target_ids), draft)
         probs = ad.reshape(st.probs, (1, len(st), len(self.vocab)))
         logits = self.tc.logits_soft(probs, np.asarray([len(st)]))
-        if self.tc.config.multi_label:
-            loss = ad.binary_cross_entropy_per_label(
-                logits, labels_to_matrix([label], self.tc.config.n_classes))
-        else:
-            loss = ad.cross_entropy(logits, np.asarray([int(label)]))
+        loss = self.tc.loss(logits, self.tc.targets([label]))
         return (loss, st.tokens) if return_tokens else loss
 
     def finetune_end_to_end(self, few_shot_data, selection_dev,
@@ -183,8 +178,7 @@ class TranslateTestPipeline:
         if config.batch_size != 1:
             raise ValueError(f"finetune_end_to_end supports batch_size=1 only, got "
                              f"batch_size={config.batch_size}; use grad_accum to sum shots")
-        enc = [(self.vocab.encode(toks)[: self.mt.config.max_source_len], label)
-               for toks, label in few_shot_data]
+        enc = [(self.mt.source_ids(toks), label) for toks, label in few_shot_data]
         drafts = self.mt.greedy_decode_batch(_pad_batch([ids for ids, _ in enc],
                                                         self.vocab.pad_id))
 
@@ -199,8 +193,7 @@ class TranslateTestPipeline:
     def evaluate_metric(self, labeled_data, hard: bool = False) -> float:
         """Accuracy (multi-class) or mRP (multi-label) of the pipeline on
         target-language labeled samples."""
-        ids = [self.vocab.encode(toks)[: self.mt.config.max_source_len]
-               for toks, _ in labeled_data]
+        ids = [self.mt.source_ids(toks) for toks, _ in labeled_data]
         preds = self.predict_hard_batch(ids) if hard else self.predict_batch(ids)
         return score(preds, [label for _, label in labeled_data], self.tc.config.multi_label)
 
@@ -213,12 +206,9 @@ class TranslateTestPipeline:
         directory.mkdir(parents=True, exist_ok=True)
         self.mt.save(directory / "mt.npz")
         self.tc.save(directory / "tc.npz")
-        meta = {
-            "format_version": 1,
-            "freezing": asdict(self.freezing),
-            "vocab_hash": vocab_hash(self.vocab),
-        }
-        (directory / "pipeline.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+        write_json(directory / "pipeline.json", {"format_version": 1,
+                                                 "freezing": asdict(self.freezing),
+                                                 "vocab_hash": vocab_hash(self.vocab)})
         self.vocab.save(directory / "vocab.txt")
 
     @classmethod
@@ -273,6 +263,5 @@ def apply_freezing(pipeline: TranslateTestPipeline, policy: FreezingPolicy):
 
 def translate_corpus(reverse_mt: MtModel, samples) -> list:
     """Token-wise translate labeled samples with an en->target translator."""
-    vocab = reverse_mt.vocab
-    ids = [vocab.encode(toks)[: reverse_mt.config.max_source_len] for toks, _ in samples]
+    ids = [reverse_mt.source_ids(toks) for toks, _ in samples]
     return [(toks, label) for toks, (_, label) in zip(translate(reverse_mt, ids), samples)]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -182,32 +182,16 @@ class DatasetBundle:
     selection_dev: list                # target-language labeled, disjoint from pools
     parallel: ParallelCorpus
 
-    def split_hashes(self) -> dict[str, set[str]]:
-        def h(samples):
-            return {hashlib.sha256(" ".join(t).encode()).hexdigest()
-                    for t, _ in samples}
-        out = {"hr_train": h(self.hr_train), "hr_dev": h(self.hr_dev),
-               "hr_test": h(self.hr_test), "tg_test": h(self.tg_test),
-               "selection_dev": h(self.selection_dev)}
-        for k, pool in self.few_shot.items():
-            out[f"few_{k}"] = h(pool)
-        return out
-
 
 def assert_disjoint_splits(bundle: DatasetBundle):
-    """Hash-based pairwise disjointness of few-shot pools, selection-dev and test."""
-    hashes = bundle.split_hashes()
-    keys = [k for k in hashes if k.startswith("few_")] + ["selection_dev", "tg_test"]
-    for i, a in enumerate(keys):
-        for b in keys[i + 1:]:
-            overlap = hashes[a] & hashes[b]
-            if overlap:
-                raise ValueError(f"splits {a} and {b} share {len(overlap)} samples")
-
-
-def _neutral_inventory(task: TaskSpec, lang: SyntheticLanguageSpec) -> list[str]:
-    markers = {m for ms in task.marker_sets() for m in ms}
-    return [t for t in lang.source_content() if t not in markers] + lang.function_words()
+    """Pairwise disjointness of few-shot pools, selection-dev and test, by sentence."""
+    splits = {f"few_{k}": pool for k, pool in bundle.few_shot.items()}
+    splits.update(selection_dev=bundle.selection_dev, tg_test=bundle.tg_test)
+    sentences = {name: {" ".join(t) for t, _ in samples} for name, samples in splits.items()}
+    for a, b in itertools.combinations(sentences, 2):
+        overlap = sentences[a] & sentences[b]
+        if overlap:
+            raise ValueError(f"splits {a} and {b} share {len(overlap)} samples")
 
 
 # Sentences are drawn until a split holds enough distinct ones. A run of this
@@ -217,12 +201,33 @@ def _neutral_inventory(task: TaskSpec, lang: SyntheticLanguageSpec) -> list[str]
 _MAX_DUPLICATE_RUN = 10_000
 
 
-def _too_few_sentences(split: str, filled: int, count: int, min_len: int,
-                       max_len: int) -> ValueError:
-    return ValueError(
-        f"{split} split: {filled} of {count} distinct sentences drawn, then "
-        f"{_MAX_DUPLICATE_RUN} duplicates in a row; min_len={min_len}, max_len={max_len} "
-        f"leave too few distinct sentences for the requested split sizes")
+def _draw_split(rng: np.random.Generator, inventory: list[str], min_len: int, max_len: int,
+                count: int, seen: set[str], split: str, mark=None) -> list[tuple]:
+    """``count`` (sentence, label) samples whose sentences are new to ``seen``
+    (which gains them): each draw is a length in [min_len, max_len], that
+    many ``inventory`` tokens and, with ``mark``, the label of
+    ``mark(sentence, i)``, which inserts the label's markers into the
+    sentence of the split's i-th sample (None without ``mark``)."""
+    samples = []
+    duplicates = 0
+    while len(samples) < count:
+        n = int(rng.integers(min_len, max_len + 1))
+        sent = [inventory[i] for i in rng.integers(len(inventory), size=n).tolist()]
+        label = None if mark is None else mark(sent, len(samples))
+        key = " ".join(sent)
+        if key in seen:
+            duplicates += 1
+            if duplicates == _MAX_DUPLICATE_RUN:
+                raise ValueError(
+                    f"{split} split: {len(samples)} of {count} distinct sentences drawn, then "
+                    f"{_MAX_DUPLICATE_RUN} duplicates in a row; min_len={min_len}, "
+                    f"max_len={max_len} leave too few distinct sentences for the requested "
+                    f"split sizes")
+            continue
+        duplicates = 0
+        seen.add(key)
+        samples.append((sent, label))
+    return samples
 
 
 def gen_language_pair(spec: SyntheticLanguageSpec,
@@ -231,67 +236,13 @@ def gen_language_pair(spec: SyntheticLanguageSpec,
     """Parallel corpus of random sentences over the full source inventory."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xC0]))
     inventory = spec.source_content() + spec.function_words()
-    total = sum(sizes)
-    a, b = sizes[0], sizes[0] + sizes[1]
-    seen = set()
-    sentences = []
-    duplicates = 0
-    while len(sentences) < total:
-        n = int(rng.integers(min_len, max_len + 1))
-        sent = [inventory[i] for i in rng.integers(len(inventory), size=n).tolist()]
-        key = " ".join(sent)
-        if key in seen:
-            duplicates += 1
-            if duplicates == _MAX_DUPLICATE_RUN:
-                split = (len(sentences) >= a) + (len(sentences) >= b)
-                raise _too_few_sentences(f"parallel {('train', 'dev', 'test')[split]}",
-                                         len(sentences) - (0, a, b)[split], sizes[split],
-                                         min_len, max_len)
-            continue
-        duplicates = 0
-        seen.add(key)
-        sentences.append(sent)
-    pairs = [(s, translate_tokens(s, spec, rng)) for s in sentences]
-    return ParallelCorpus(train=pairs[:a], dev=pairs[a:b], test=pairs[b:])
-
-
-def _gen_labeled(task: TaskSpec, lang: SyntheticLanguageSpec, split: str, count: int,
-                 rng: np.random.Generator, seen: set[str]) -> list[tuple[list[str], object]]:
-    """Labeled high-resource sentences; labels computable by oracle_label."""
-    neutral = _neutral_inventory(task, lang)
-    marker_sets = task.marker_sets()
-    samples = []
-    next_class = 0
-    duplicates = 0
-    while len(samples) < count:
-        n = int(rng.integers(task.min_len, task.max_len + 1))
-        sent = [neutral[i] for i in rng.integers(len(neutral), size=n).tolist()]
-        if task.kind == "multi_class":
-            label = next_class
-            markers = marker_sets[label]
-            k = int(rng.integers(1, len(markers) + 1))
-            chosen = [markers[i] for i in rng.choice(len(markers), size=k, replace=False).tolist()]
-            for m in chosen:
-                pos = int(rng.integers(len(sent) + 1))
-                sent.insert(pos, m)
-        else:
-            label = sorted(int(c) for c in range(task.n_classes)
-                           if rng.random() < task.label_prob)
-            for c in label:
-                pos = int(rng.integers(len(sent) + 1))
-                sent.insert(pos, marker_sets[c][0])
-        key = " ".join(sent)
-        if key in seen:
-            duplicates += 1
-            if duplicates == _MAX_DUPLICATE_RUN:
-                raise _too_few_sentences(split, len(samples), count, task.min_len, task.max_len)
-            continue
-        duplicates = 0
-        seen.add(key)
-        samples.append((sent, label))
-        if task.kind == "multi_class":
-            next_class = (next_class + 1) % task.n_classes
-    return samples
+    seen: set[str] = set()
+    splits = [_draw_split(rng, inventory, min_len, max_len, count, seen, f"parallel {name}")
+              for name, count in zip(("train", "dev", "test"), sizes)]
+    # every sentence is drawn before any is translated, with the same generator
+    train, dev, test = ([(s, translate_tokens(s, spec, rng)) for s, _ in split]
+                        for split in splits)
+    return ParallelCorpus(train=train, dev=dev, test=test)
 
 
 def gen_classification_dataset(task: TaskSpec, lang: SyntheticLanguageSpec,
@@ -307,10 +258,30 @@ def gen_classification_dataset(task: TaskSpec, lang: SyntheticLanguageSpec,
     """
     check_markers_fit(task, lang)
     rng = np.random.default_rng(np.random.SeedSequence([lang.seed, task.n_classes, 0xD5]))
+    marker_sets = task.marker_sets()
+    markers = {m for ms in marker_sets for m in ms}
+    neutral = [t for t in lang.source_content() if t not in markers] + lang.function_words()
+
+    def mark(sent, i):
+        """Insert the markers of a label into ``sent``, the split's i-th
+        sample, and return the label; multi-class labels go round the classes
+        from 0 in each split."""
+        if task.kind == "multi_class":
+            label = i % task.n_classes
+            ms = marker_sets[label]
+            k = int(rng.integers(1, len(ms) + 1))
+            for j in rng.choice(len(ms), size=k, replace=False).tolist():
+                sent.insert(int(rng.integers(len(sent) + 1)), ms[j])
+            return label
+        label = [c for c in range(task.n_classes) if rng.random() < task.label_prob]
+        for c in label:
+            sent.insert(int(rng.integers(len(sent) + 1)), marker_sets[c][0])
+        return label
+
     seen: set[str] = set()
-    hr_train = _gen_labeled(task, lang, "train", sizes[0], rng, seen)
-    hr_dev = _gen_labeled(task, lang, "dev", sizes[1], rng, seen)
-    hr_test = _gen_labeled(task, lang, "test", sizes[2], rng, seen)
+    hr_train, hr_dev, hr_test = (
+        _draw_split(rng, neutral, task.min_len, task.max_len, count, seen, split, mark)
+        for split, count in zip(("train", "dev", "test"), sizes))
 
     trans_rng = np.random.default_rng(np.random.SeedSequence([lang.seed, 0x7A]))
     def translate_split(split):

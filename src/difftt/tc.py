@@ -10,14 +10,14 @@ expected embeddings p @ E, so one-hot inputs reproduce the token path bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import bridge
 from .autodiff import Tensor, no_grad
-from .checkpoint import load_model, save_checkpoint
+from .checkpoint import ModelFile
 from .fields import check_fields
 from .layers import EncoderLayer
 from .metrics import score
@@ -86,7 +86,9 @@ def rank_labels(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, axis=-1, kind="stable")
 
 
-class TcModel:
+class TcModel(ModelFile):
+    kind, config_cls = "tc", TcConfig
+
     def __init__(self, vocab: Vocabulary, config: TcConfig | None = None, seed: int = 0):
         self.vocab = vocab
         self.config = config or TcConfig()
@@ -214,35 +216,32 @@ class TcModel:
         batch = (logits, scores, rank_labels(scores))
         return [Prediction(batch, i, label) for i, label in enumerate(labels)]
 
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
+    def targets(self, labels) -> np.ndarray:
+        """The loss targets of ``labels``: class ids (N,) for a multi-class
+        head, a binary (N, L) matrix of label sets for a multi-label one. A
+        label outside the head raises ``ValueError``."""
+        n, multi_label = self.config.n_classes, self.config.multi_label
+        ids = [int(l) for labs in labels for l in labs] if multi_label else [int(l) for l in labels]
+        if not all(0 <= l < n for l in ids):
+            raise ValueError(f"label out of range [0, {n})")
+        if not multi_label:
+            return np.asarray(ids, dtype=np.int64)
+        out = np.zeros((len(labels), n))
+        for i, labs in enumerate(labels):
+            out[i, list(labs)] = 1.0
+        return out
 
-    def save(self, path, extra: dict | None = None):
-        meta = {"kind": "tc", "config": asdict(self.config)}
-        if extra:
-            meta.update(extra)
-        save_checkpoint(path, self.store.parameters(), extra_meta=meta)
-
-    @classmethod
-    def load(cls, path, vocab: Vocabulary) -> "TcModel":
-        return load_model(path, cls, TcConfig, vocab)
+    def loss(self, logits: Tensor, targets: np.ndarray) -> Tensor:
+        """Mean cross-entropy (multi-class) or per-label binary cross-entropy
+        (multi-label) of (B, C) ``logits`` against rows of ``targets``."""
+        if self.config.multi_label:
+            return ad.binary_cross_entropy_per_label(logits, targets)
+        return ad.cross_entropy(logits, targets)
 
 
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
-
-def labels_to_matrix(labels, n_labels: int) -> np.ndarray:
-    """Multi-label sets -> (N, L) binary matrix."""
-    out = np.zeros((len(labels), n_labels))
-    for i, labs in enumerate(labels):
-        for l in labs:
-            if l < 0 or l >= n_labels:
-                raise ValueError(f"label {l} out of range [0, {n_labels})")
-            out[i, l] = 1.0
-    return out
-
 
 def train_tc(model: TcModel, train_data, dev_data, config: TrainConfig,
              checkpoint_dir=None) -> FitResult:
@@ -254,27 +253,14 @@ def train_tc(model: TcModel, train_data, dev_data, config: TrainConfig,
     R-Precision according to the head kind.
     """
     vocab = model.vocab
-    multi_label = model.config.multi_label
     enc = [vocab.encode(toks)[: model.config.max_len - 1] for toks, _ in train_data]
-    if multi_label:
-        targets = labels_to_matrix([labs for _, labs in train_data], model.config.n_classes)
-    else:
-        targets = np.asarray([int(l) for _, l in train_data])
-        if targets.size and (targets.min() < 0 or targets.max() >= model.config.n_classes):
-            raise ValueError(f"label out of range [0, {model.config.n_classes})")
+    targets = model.targets([label for _, label in train_data])
 
     def batch_loss(idx):
         seqs = [enc[i] for i in idx]
         logits = model.logits_tokens(_pad_batch(seqs, vocab.pad_id),
                                      np.asarray([len(s) for s in seqs]))
-        if multi_label:
-            return ad.binary_cross_entropy_per_label(logits, targets[idx])
-        return ad.cross_entropy(logits, targets[idx])
-
-    def checkpoint(epoch, metric):
-        path = str(checkpoint_dir) + f"/tc_epoch{epoch:03d}.npz"
-        model.save(path, extra={"epoch": epoch, "val_metric": metric})
-        return path
+        return model.loss(logits, targets[idx])
 
     return fit([model.store], len(enc), batch_loss, lambda: model.evaluate_metric(dev_data),
-               config, checkpoint if checkpoint_dir is not None else None)
+               config, model.epoch_saver(checkpoint_dir))

@@ -83,17 +83,22 @@ def test_param_store_load_state_rejects_bad_states(rng):
     assert all(np.array_equal(store[n].data, v) for n, v in state.items())
 
 
-@pytest.mark.parametrize("model_cls", [MtModel, TcModel], ids=["mt", "tc"])
-def test_unknown_config_key_is_a_named_value_error(tmp_path, model_cls):
+@pytest.mark.parametrize("saved_cls,model_cls,match", [
+    (MtModel, MtModel, "colour"), (TcModel, TcModel, "colour"),
+    # a classifier checkpoint loaded as a translator: the stored kind is read
+    (TcModel, MtModel, "kind 'tc', not 'mt'"),
+], ids=["mt", "tc", "tc-as-mt"])
+def test_unknown_config_key_is_a_named_value_error(tmp_path, saved_cls, model_cls, match):
     vocab = micro_vocab()
     path = tmp_path / "model.npz"
-    model_cls(vocab).save(path)
-    with np.load(path) as z:
-        arrays = dict(z)
-    meta = json.loads(bytes(arrays["__meta__"]).decode())
-    meta["extra"]["config"]["colour"] = "blue"
-    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    with open(path, "wb") as f:
-        np.savez(f, **arrays)
-    with pytest.raises(ValueError, match="model.npz .*colour"):
+    saved_cls(vocab).save(path)
+    if saved_cls is model_cls:
+        with np.load(path) as z:
+            arrays = dict(z)
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        meta["extra"]["config"]["colour"] = "blue"
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        with open(path, "wb") as f:
+            np.savez(f, **arrays)
+    with pytest.raises(ValueError, match=f"model.npz .*{match}"):
         model_cls.load(path, vocab)

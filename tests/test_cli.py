@@ -212,6 +212,21 @@ def test_bad_few_shot_sizes_in_the_manifest_fail_cleanly(tmp_path, few_shot):
     assert "manifest.json: sizes.few_shot must be non-negative integers" in err["error"]["message"]
 
 
+def test_bad_tsv_row_fails_cleanly_naming_file_and_line(tmp_path):
+    cfg = write_config(tmp_path)
+    runner = CliRunner()
+    assert runner.invoke(main, ["gen-data", str(cfg)]).exit_code == 0
+    path = tmp_path / "run" / "data" / "hr_train.tsv"
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].split("\t")[0] + "\tx"
+    path.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, ["train-tc", str(cfg)])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"]["category"] == "invalid-config-or-data"
+    assert "hr_train.tsv:3: invalid literal for int()" in err["error"]["message"]
+
+
 def test_corrupt_checkpoint_is_reported_as_bad_data(tmp_path, capsys):
     # a truncated npz is bad input, not an internal error
     from difftt.checkpoint import load_checkpoint
@@ -275,8 +290,11 @@ def test_train_and_report_flow(tmp_path):
     assert "pipeline_soft" in result.output
 
 
-@pytest.mark.parametrize("change", [{"extra_key": 1}, {"rows": None}],
-                         ids=["unknown-key", "missing-key"])
+@pytest.mark.parametrize("change", [{"extra_key": 1}, {"rows": None},
+                                    {"rows": [{"method": "lm"}]}, {"rows": "abc"},
+                                    {"averages": 5}],
+                         ids=["unknown-key", "missing-key", "row-without-keys", "rows-not-a-list",
+                              "averages-not-a-list"])
 def test_report_with_bad_keys_fails_cleanly(tmp_path, change):
     cfg = write_config(tmp_path)
     report = {"name": "cli-test", "metric_kind": "accuracy", "rows": [], "averages": [],
@@ -291,3 +309,4 @@ def test_report_with_bad_keys_fails_cleanly(tmp_path, change):
     err = json.loads(result.stderr.strip().splitlines()[-1])
     assert err["error"]["category"] == "invalid-config-or-data"
     assert next(iter(change)) in err["error"]["message"]
+    assert "report.json" in err["error"]["message"]

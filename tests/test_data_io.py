@@ -51,7 +51,7 @@ def test_bundle_manifest_version_checked(tmp_path):
     manifest = json.loads(path.read_text())
     manifest["manifest_version"] = 99
     path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="manifest version"):
+    with pytest.raises(ValueError, match="manifest.json: unsupported manifest version 99"):
         read_bundle(tmp_path / "data")
 
 
@@ -69,3 +69,16 @@ def test_corrupt_manifest_is_a_named_value_error(tmp_path, content):
     path.write_text(content)
     with pytest.raises(ValueError, match="manifest.json"):
         read_bundle(tmp_path / "data")
+
+
+@pytest.mark.parametrize("row,reader,match", [
+    (b"a b\tx", lambda p: read_labeled(p, multi_label=False), "invalid literal for int"),
+    (b"a b", read_parallel, "1 tab-separated columns, expected 2"),
+    (b"a\tb\tc", read_parallel, "3 tab-separated columns, expected 2"),
+    (b"a \xff\tb", read_parallel, "'utf-8' codec can't decode byte 0xff"),
+], ids=["text-label", "one-column", "three-columns", "not-utf8"])
+def test_bad_tsv_row_is_a_value_error_naming_file_and_line(tmp_path, row, reader, match):
+    path = tmp_path / "split.tsv"
+    path.write_bytes(b"a\t0\n\n" + row + b"\nb\t1\n")
+    with pytest.raises(ValueError, match=f"split.tsv:3: {match}"):
+        reader(path)

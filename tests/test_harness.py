@@ -164,6 +164,8 @@ def test_config_checks_sweep_keys(tmp_path):
      r"section 'tc_model': \['multi_label'\].*the task sets n_classes and multi_label"),
     ({"task": {"n_classes": 3}, "tc_model": {"n_classes": 2}},
      r"section 'tc_model': \['n_classes'\].*the task sets n_classes and multi_label"),
+    # a count is an integer by the kind rule, so a bool is not one
+    ({"seeds": [True]}, "seeds must be non-negative integers"),
 ])
 def test_config_rejects_out_of_range_settings(tmp_path, data, match):
     with pytest.raises(ValueError, match=match):
@@ -202,6 +204,13 @@ def test_field_kinds_take_numpy_numbers():
     cfg = TrainConfig(epochs=np.int64(2), lr=np.float32(0.5), max_grad_norm=1)
     assert (cfg.epochs, cfg.lr, cfg.max_grad_norm) == (2, 0.5, 1)
     assert FreezingPolicy(mt_fraction=np.float64(0.25), tc_fraction=1).tc_fraction == 1
+
+
+def test_numpy_numbers_round_trip_through_the_config_file():
+    # the count rule takes the integers the field kind rule takes, and the
+    # JSON writer writes them as plain numbers
+    cfg = ExperimentConfig(out_dir="r", mt_train={"epochs": np.int64(2)}, seeds=[np.int64(1)])
+    assert ExperimentConfig.from_dict(json.loads(cfg.to_json())) == cfg
 
 
 # a value below each numeric field's bound, for every class of _SECTIONS

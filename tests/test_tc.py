@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from difftt import autodiff as ad
 from difftt.autodiff import Tensor
 from difftt.mt import TrainConfig
-from difftt.tc import (Prediction, TcConfig, TcModel, labels_to_matrix,
-                       rank_labels, train_tc)
+from difftt.tc import Prediction, TcConfig, TcModel, rank_labels, train_tc
 
 from conftest import micro_tc, micro_vocab
 
@@ -198,11 +197,15 @@ def test_head_row_permutation_permutes_logits(model, vocab):
     assert np.allclose(permuted, base[perm], atol=1e-12)
 
 
-def test_labels_to_matrix():
-    mat = labels_to_matrix([[0, 2], [], [1]], 3)
+def test_label_targets(vocab):
+    multi_label, multi_class = micro_tc(vocab, multi_label=True), micro_tc(vocab)
+    mat = multi_label.targets([[0, 2], [], [1]])
     assert np.array_equal(mat, [[1, 0, 1], [0, 0, 0], [0, 1, 0]])
-    with pytest.raises(ValueError):
-        labels_to_matrix([[3]], 3)
+    assert np.array_equal(multi_class.targets([2, 0]), [2, 0])
+    for model, labels in ((multi_label, [[3]]), (multi_label, [[-1]]),
+                          (multi_class, [3]), (multi_class, [-1])):
+        with pytest.raises(ValueError, match=r"label out of range \[0, 3\)"):
+            model.targets(labels)
 
 
 def test_separable_task_learnable(vocab):
