@@ -15,6 +15,7 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -51,7 +52,8 @@ def _load_erf():
 
 erf = _load_erf()
 
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters (malloc.h)
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 
 
 def _keep_freed_heap_pages() -> bool:
@@ -65,9 +67,12 @@ def _keep_freed_heap_pages() -> bool:
     to 32 MiB (glibc's largest mmap threshold) go on the heap, and up to
     128 MiB of free heap top (more than one training batch's tape) stays
     mapped. Both are set because setting either one ends glibc's dynamic
-    threshold. Returns whether they were set: not off glibc, and not when
-    the environment already tunes malloc through ``GLIBC_TUNABLES`` or a
-    ``MALLOC_*_`` variable.
+    threshold. Every thread allocates from the one main arena, so the block
+    map's helper thread (``mt.map_blocks``) reuses the pages the calling
+    thread freed instead of growing an arena of its own (about 3 MB more
+    peak on evaluation). Returns whether the thresholds were set: not off
+    glibc, and not when the environment already tunes malloc through
+    ``GLIBC_TUNABLES`` or a ``MALLOC_*_`` variable.
     """
     try:
         libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
@@ -80,6 +85,7 @@ def _keep_freed_heap_pages() -> bool:
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
     return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20) and mallopt(_M_TRIM_THRESHOLD, 128 << 20))
 
 
@@ -90,26 +96,33 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible; message names both shapes."""
 
 
-_GRAD_ENABLED = True
+class _GradMode(threading.local):
+    """Whether the calling thread records ops on the tape. Each thread has
+    its own flag and starts out recording, so ``no_grad`` in one thread
+    never switches off another thread's recording."""
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 
 class no_grad:
-    """Context manager that disables tape recording (inference mode)."""
+    """Context manager that disables tape recording (inference mode) in the
+    calling thread."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _GRAD_MODE.enabled
+        _GRAD_MODE.enabled = False
         return self
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD_MODE.enabled = self._prev
         return False
 
 
 def grad_enabled() -> bool:
-    return _GRAD_ENABLED
+    """Whether the calling thread records ops on the tape."""
+    return _GRAD_MODE.enabled
 
 
 class Tensor:
@@ -209,7 +222,7 @@ def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
     out.requires_grad = False
     out._parents = ()
     out._backward = None
-    if _GRAD_ENABLED:
+    if _GRAD_MODE.enabled:
         for p in parents:
             if p.requires_grad:
                 out.requires_grad = True
@@ -439,9 +452,16 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out = x.data * cdf
+    """Exact (erf-based) GELU. The cdf is built in one array, op by op as
+    ``0.5 * (1.0 + erf(x / sqrt(2)))`` orders them, so its floats are those
+    of that expression without its temporaries. Off the tape only the
+    backward pass would read the cdf, so the output is written over it."""
+    cdf = x.data * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    out = np.multiply(x.data, cdf, out=cdf if not (_GRAD_MODE.enabled and x.requires_grad)
+                      else None)
 
     def backward(g):
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)

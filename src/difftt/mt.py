@@ -10,6 +10,8 @@ token column and reads earlier keys and values from a per-layer cache.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +71,8 @@ class GreedyDecode(list):
     EOS (when reached within the budget), plus ``lengths`` (B,) and, when
     kept, ``blocks``: the step distributions of each row block, in row order,
     as the decode produced them, (n, m_b, V) with m_b that block's own step
-    count. ``pad_steps`` pads a block to the batch's step count M =
-    max(lengths)."""
+    count, or what ``keep_probs`` made of them. ``pad_steps`` pads a block to
+    the batch's step count M = max(lengths)."""
     lengths: np.ndarray
     blocks: list[np.ndarray] | None = None
 
@@ -172,41 +174,51 @@ class MtModel(ModelFile):
         x = ad.layer_norm(x, self.dec_ln[0].tensor, self.dec_ln[1].tensor)
         return ad.affine(x, self.out_proj[0].tensor, self.out_proj[1].tensor)
 
-    def greedy_decode_batch(self, src_ids: np.ndarray, keep_probs: bool = False) -> GreedyDecode:
+    def greedy_decode_batch(self, src_ids: np.ndarray, keep_probs=False) -> GreedyDecode:
         """Batched incremental greedy decoding.
 
         A step's token is the argmax of its distribution (ties break to the
         lowest index, as np.argmax does), so argmax(probs) == tokens holds by
-        construction. The rows run in blocks of ``BLOCK_ROWS``, each block
-        encoded and decoded on its own with the batch's source padding; a
-        block stops once its own rows have all emitted EOS, so a row that
-        never does costs only its block the full budget. Within a block, rows
-        that emitted EOS are fed PAD, which stays masked as a key. Every
-        row's arithmetic is that of a one-block decode, so the outputs are
-        bitwise equal to it. ``keep_probs`` keeps each block's distributions
-        as ``blocks``, unpadded and uncopied.
+        construction. The rows run in blocks of ``BLOCK_ROWS`` (two at a
+        time, see ``map_blocks``), each block encoded and decoded on its own
+        with the batch's source padding; a block stops once its own rows have
+        all emitted EOS, so a row that never does costs only its block the
+        full budget. Within a block, rows that emitted EOS are fed PAD, which
+        stays masked as a key. Every row's arithmetic is that of a one-block
+        decode, so the outputs are bitwise equal to it. ``keep_probs`` keeps
+        each block's distributions as ``blocks``, unpadded and uncopied; a
+        callable ``keep_probs(probs, lengths)`` is called instead on each
+        block's distributions, which it may overwrite, and its rows' lengths
+        as soon as the block has decoded, and ``blocks`` keeps what it
+        returns.
         """
         src_ids = np.asarray(src_ids)
-        blocks, dist_blocks = [], []
-        for rows in _row_blocks(len(src_ids)):
-            with no_grad():
-                memory, cross_mask = self.encode(src_ids[rows])
+        eos = self.vocab.eos_id
+
+        def decode(rows):
+            memory, cross_mask = self.encode(src_ids[rows])
             steps, dists = self._greedy_steps(memory, cross_mask, keep_probs)
-            blocks.append((rows, np.stack(steps, axis=1)))
-            if keep_probs:
-                dist_blocks.append(np.stack(dists, axis=1))
-            del memory, cross_mask, steps, dists  # before the next block's encode
-        m = max(block_tokens.shape[1] for _, block_tokens in blocks)
+            del memory, cross_mask  # the encoder output goes before the block's result is made
+            tokens = np.stack(steps, axis=1)
+            if not keep_probs:
+                return tokens, None
+            probs = np.stack(dists, axis=1)
+            del dists
+            return tokens, keep_probs(probs, _lengths(tokens, eos)) if callable(keep_probs) \
+                else probs
+
+        row_blocks = _row_blocks(len(src_ids))
+        blocks = map_blocks(decode, row_blocks)
+        m = max(block_tokens.shape[1] for block_tokens, _ in blocks)
         # a block that stopped early has every row's EOS, so PAD past it is never read
         tokens = np.full((len(src_ids), m), self.vocab.pad_id, dtype=np.int64)
-        for rows, block_tokens in blocks:
+        for rows, (block_tokens, _) in zip(row_blocks, blocks):
             tokens[rows, :block_tokens.shape[1]] = block_tokens
-        is_eos = tokens == self.vocab.eos_id
-        lengths = np.where(is_eos.any(axis=1), is_eos.argmax(axis=1) + 1, m)
+        lengths = _lengths(tokens, eos)
         out = GreedyDecode(tokens[i, :n] for i, n in enumerate(lengths))
         out.lengths = lengths
         if keep_probs:
-            out.blocks = dist_blocks
+            out.blocks = [kept for _, kept in blocks]
         return out
 
     def _greedy_steps(self, memory: Tensor, cross_mask: np.ndarray, keep_probs: bool):
@@ -347,10 +359,80 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(i, min(i + BLOCK_ROWS, n)) for i in range(0, n, BLOCK_ROWS)]
 
 
+class _BlockThread(threading.local):
+    """Whether the calling thread is running a block of ``map_blocks``."""
+    busy = False
+
+
+_BLOCK_THREAD = _BlockThread()
+_helper = None  # a one-thread executor, made on first paired use
+_helper_lock = threading.Lock()
+
+
+def _run_block(fn, block):
+    busy, _BLOCK_THREAD.busy = _BLOCK_THREAD.busy, True
+    try:
+        with no_grad():
+            return fn(block)
+    finally:
+        _BLOCK_THREAD.busy = busy
+
+
+def _forget_helper():
+    """In a forked child, which has no helper thread: make another on use."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+def map_blocks(fn, blocks) -> list:
+    """``[fn(block) for block in blocks]``, each call gradient-free.
+
+    With more than one CPU in this process's affinity and two or more
+    blocks, the blocks run in pairs: the first of a pair on the calling
+    thread, the second on one helper thread, which starts on first use and
+    is shared by every call. The caller waits for the helper's block before
+    it goes on, returns or re-raises, so the helper is idle whenever no call
+    is running; an exception in the first block of a pair wins over one in
+    the second, so the exception is that of a run in row order. A block's
+    ops never depend on another block's, so the results are bitwise those of
+    that run; numpy releases the GIL in BLAS and in large ufunc loops, which
+    is where the pair overlaps. One block, one CPU (or no affinity call on
+    this platform), or a call from inside a block runs in row order on the
+    calling thread.
+    """
+    if (len(blocks) < 2 or _BLOCK_THREAD.busy or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
+        return [_run_block(fn, block) for block in blocks]
+    # imported here: concurrent.futures imports logging, which nothing else needs
+    from concurrent.futures import ThreadPoolExecutor, wait
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="difftt-blocks")
+            os.register_at_fork(after_in_child=_forget_helper)
+    out = []
+    for i in range(0, len(blocks), 2):
+        second = _helper.submit(_run_block, fn, blocks[i + 1]) if i + 1 < len(blocks) else None
+        try:
+            out.append(_run_block(fn, blocks[i]))
+        finally:
+            if second is not None:
+                wait([second])  # the helper's block is done
+        if second is not None:
+            out.append(second.result())
+    return out
+
+
 def _block_rows(blocks) -> list[slice]:
     """The row slice of each of ``blocks``, consecutive row blocks in order."""
     ends = np.cumsum([len(block) for block in blocks]).tolist()
     return [slice(end - len(block), end) for block, end in zip(blocks, ends)]
+
+
+def _lengths(tokens: np.ndarray, eos_id: int) -> np.ndarray:
+    """Each row's length: up to and including its first EOS, or every step."""
+    is_eos = tokens == eos_id
+    return np.where(is_eos.any(axis=1), is_eos.argmax(axis=1) + 1, tokens.shape[1])
 
 
 def pad_steps(probs: np.ndarray, lengths: np.ndarray, m: int, pad_id: int) -> np.ndarray:

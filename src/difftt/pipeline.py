@@ -100,13 +100,15 @@ class TranslateTestPipeline:
         return self.predict_batch([list(target_ids)])[0]
 
     def predict_batch(self, target_ids_batch: list[list[int]]) -> list[Prediction]:
-        """Soft-path predictions. The batch's greedy tokens are kept, with a
-        snapshot of what they were decoded from, for the next
-        ``predict_hard_batch``."""
+        """Soft-path predictions. Each row block keeps its expected embeddings
+        p @ E, made as soon as the block has decoded, instead of its step
+        distributions (``TcModel.expected_embeddings``). The batch's greedy
+        tokens are kept, with a snapshot of what they were decoded from, for
+        the next ``predict_hard_batch``."""
         self._translation = None
         src = _pad_batch([list(s) for s in target_ids_batch], self.vocab.pad_id)
-        decoded = self.mt.greedy_decode_batch(src, keep_probs=True)
-        preds = self.tc.classify_soft_values(decoded.blocks, decoded.lengths)
+        decoded = self.mt.greedy_decode_batch(src, keep_probs=self.tc.expected_embeddings)
+        preds = self.tc.classify_soft_values(decoded.blocks, decoded.lengths, embedded=True)
         self._translation = _Translation(src, dataclasses.replace(self.mt.config),
                                          self.mt.store.state(), list(decoded))
         return preds
@@ -222,7 +224,9 @@ class TranslateTestPipeline:
             raise ValueError(f"{path}: {exc}") from exc
         vocab = Vocabulary.load(directory / "vocab.txt")
         if vocab_hash(vocab) != meta["vocab_hash"]:
-            raise ValueError("vocabulary hash mismatch in pipeline checkpoint")
+            raise ValueError(f"{path}: vocabulary hash mismatch: vocab_hash "
+                             f"{meta['vocab_hash']!r}, but {directory / 'vocab.txt'} hashes "
+                             f"to {vocab_hash(vocab)!r}")
         mt = MtModel.load(directory / "mt.npz", vocab)
         tc = TcModel.load(directory / "tc.npz", vocab)
         return cls(mt, tc, freezing)

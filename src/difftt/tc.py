@@ -21,7 +21,7 @@ from .checkpoint import ModelFile
 from .fields import check_fields
 from .layers import EncoderLayer
 from .metrics import score
-from .mt import _block_rows, _pad_batch, _row_blocks, pad_steps
+from .mt import _block_rows, _pad_batch, _row_blocks, map_blocks, pad_steps
 from .optim import FitResult, TrainConfig, fit
 from .params import ParamStore
 from .vocab import Vocabulary
@@ -134,14 +134,15 @@ class TcModel(ModelFile):
 
     def _blocked_logits(self, body_of, blocks: list[slice], lengths: np.ndarray) -> np.ndarray:
         """Gradient-free logits: the encoder runs on each row block of
-        ``blocks``, ``body_of(i)`` giving block i's input embeddings, and the
-        head once on every row's pooled features. A 2-D GEMM's rows depend on
-        its row count, so one head GEMM keeps the logits bitwise those of a
-        one-block pass; every other op works row by row."""
+        ``blocks`` (two at a time, see ``mt.map_blocks``), ``body_of(i)``
+        giving block i's input embeddings, and the head once on every row's
+        pooled features. A 2-D GEMM's rows depend on its row count, so one
+        head GEMM keeps the logits bitwise those of a one-block pass; every
+        other op works row by row."""
+        pooled = np.concatenate(map_blocks(
+            lambda i: self._forward_embedded(body_of(i), lengths[blocks[i]], head=False).data,
+            range(len(blocks))))
         with no_grad():
-            pooled = np.concatenate([self._forward_embedded(body_of(i), lengths[rows],
-                                                            head=False).data
-                                     for i, rows in enumerate(blocks)])
             return ad.affine(Tensor(pooled), self.head[0].tensor, self.head[1].tensor).data
 
     def logits_tokens(self, ids: np.ndarray, lengths: np.ndarray) -> Tensor:
@@ -176,8 +177,24 @@ class TcModel(ModelFile):
         preds = self.classify_tokens_batch([self.vocab.encode(toks) for toks, _ in labeled])
         return score(preds, [label for _, label in labeled], self.config.multi_label)
 
-    def classify_soft_values(self, blocks: list[np.ndarray],
-                             lengths: np.ndarray) -> list[Prediction]:
+    def expected_embeddings(self, probs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """What the soft path keeps of a block of step distributions (n, m, V),
+        as ``classify_soft_values(..., embedded=True)`` takes it: the PAD
+        one-hot is written over every step past each row's length (in place),
+        and for m >= 2 the block becomes its expected embeddings p @ E
+        (n, m, d). Their rows do not depend on m, so they are bitwise those of
+        the block padded to the batch's step count first. A 1-step product
+        takes another BLAS path (gemv) than a longer one, so a 1-step block
+        is kept as distributions and bridged once the batch's step count is
+        known."""
+        probs[np.arange(probs.shape[1])[None, :] >= lengths[:, None]] = \
+            np.eye(probs.shape[2])[self.vocab.pad_id]
+        if probs.shape[1] == 1:
+            return probs
+        return bridge.expected_embedding(Tensor(probs), self.emb.tensor).data
+
+    def classify_soft_values(self, blocks: list[np.ndarray], lengths: np.ndarray,
+                             embedded: bool = False) -> list[Prediction]:
         """Gradient-free `logits_soft` predictions for evaluation from the
         step distributions of consecutive row blocks, (n, m_b, V) each, as
         ``MtModel.greedy_decode_batch`` keeps them; a (B, M, V) array is
@@ -185,7 +202,9 @@ class TcModel(ModelFile):
         max(lengths) just before its encoder pass, and the list lets go of
         the unpadded block (its entry becomes None) before that pass, so the
         distributions are held about once, never as a padded (B, M, V)
-        array beside the decode's."""
+        array beside the decode's. With ``embedded``, the blocks are those of
+        ``expected_embeddings`` instead, and a block of embeddings is padded
+        with E's PAD row, which is p @ E of the PAD one-hot, bitwise."""
         lengths = np.asarray(lengths)
         if not len(lengths):
             raise ValueError("empty batch: a batch needs at least one row")
@@ -197,8 +216,13 @@ class TcModel(ModelFile):
         rows = _block_rows(blocks)
 
         def body_of(i):
-            padded = pad_steps(blocks[i], lengths[rows[i]], m, self.vocab.pad_id)
-            blocks[i] = None
+            block, blocks[i] = blocks[i], None
+            if embedded and block.shape[1] > 1:
+                body = np.empty((len(block), m, block.shape[2]))
+                body[:, :block.shape[1]] = block
+                body[:, block.shape[1]:] = self.emb.data[self.vocab.pad_id]
+                return Tensor(body)
+            padded = pad_steps(block, lengths[rows[i]], m, self.vocab.pad_id)
             return bridge.expected_embedding(Tensor(padded), self.emb.tensor)
 
         return self._predictions(self._blocked_logits(body_of, rows, lengths))

@@ -2,11 +2,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 import difftt
+from difftt import mt as mt_module
 from difftt.mt import MtConfig, MtModel
 from difftt.tc import TcConfig, TcModel
 from difftt.vocab import SPECIALS, Vocabulary
@@ -21,6 +23,13 @@ def fresh_python(*args: str, timeout: float = 120) -> subprocess.CompletedProces
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=timeout)
+
+
+def cpus(n: int):
+    """Patch the CPU affinity that ``mt.map_blocks`` reads to ``n`` CPUs: one
+    runs every block inline, two run the blocks in pairs."""
+    return patch.object(mt_module.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        create=True)
 
 
 def micro_vocab(n_tokens: int = 15) -> Vocabulary:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import fresh_python
+from conftest import fresh_python, micro_mt, micro_tc, micro_vocab
 from difftt.cli import main
 
 
@@ -310,3 +310,27 @@ def test_report_with_bad_keys_fails_cleanly(tmp_path, change):
     assert err["error"]["category"] == "invalid-config-or-data"
     assert next(iter(change)) in err["error"]["message"]
     assert "report.json" in err["error"]["message"]
+
+
+def test_stale_pipeline_vocab_hash_names_the_file_and_both_hashes(tmp_path, capsys):
+    # a pipeline.json whose vocab_hash is another vocabulary's: bad data, and
+    # the message says which directory is stale and how
+    from difftt.cli import _fail
+    from difftt.pipeline import TranslateTestPipeline, vocab_hash
+
+    vocab = micro_vocab()
+    TranslateTestPipeline(micro_mt(vocab), micro_tc(vocab)).save(tmp_path / "pipe")
+    path = tmp_path / "pipe" / "pipeline.json"
+    meta = json.loads(path.read_text())
+    meta["vocab_hash"] = vocab_hash(micro_vocab(16))
+    path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError) as info:
+        TranslateTestPipeline.load(tmp_path / "pipe")
+    with pytest.raises(SystemExit) as exit_info:
+        _fail(info.value)
+    assert exit_info.value.code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"]["category"] == "invalid-config-or-data"
+    message = err["error"]["message"]
+    assert str(path) in message and str(tmp_path / "pipe" / "vocab.txt") in message
+    assert meta["vocab_hash"] in message and vocab_hash(vocab) in message

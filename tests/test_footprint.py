@@ -93,3 +93,26 @@ def test_freed_arrays_reuse_heap_pages():
         "    cycle()\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
     assert int(out) == 0
+
+
+def test_the_helper_thread_starts_on_first_paired_use_only():
+    # importing, building models and a one-block batch start no thread; the
+    # first batch of two blocks on two CPUs starts the one helper, which a
+    # later batch reuses and which does not hold up the process's exit
+    out = run_python(
+        "import os, threading\n"
+        "import numpy as np\n"
+        "import difftt.cli, difftt.pipeline\n"
+        "from difftt import mt\n"
+        "from difftt.vocab import SPECIALS, Vocabulary\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "model = mt.MtModel(Vocabulary(SPECIALS + ['a', 'b']), mt.MtConfig(d_model=4, "
+        "n_layers=1, n_heads=1, d_ff=4, max_source_len=4, max_decode_len=4))\n"
+        "counts = [threading.active_count()]\n"
+        "model.greedy_decode_batch(np.full((mt.BLOCK_ROWS, 2), 5))\n"
+        "counts.append(threading.active_count())\n"
+        "for _ in range(2):\n"
+        "    model.greedy_decode_batch(np.full((2 * mt.BLOCK_ROWS, 2), 5))\n"
+        "    counts.append(threading.active_count())\n"
+        "print(counts)\n")
+    assert out == "[1, 1, 2, 2]"

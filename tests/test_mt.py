@@ -1,7 +1,11 @@
 """Translator behavior: decode contracts, soft/greedy agreement, causality,
 the cached decode against a full-prefix recompute, decoding and classifying
-in row blocks, a learnable copy task, and checkpoint reload."""
+in row blocks, the block map's pairs and per-thread grad mode, a learnable
+copy task, and checkpoint reload."""
 
+import os
+import threading
+import time
 import tracemalloc
 from unittest.mock import patch
 
@@ -18,7 +22,7 @@ from difftt.mt import MtConfig, MtModel, TrainConfig, evaluate_bleu, train_mt, _
 from difftt.tc import TcConfig, TcModel
 from difftt.vocab import SPECIALS, Vocabulary
 
-from conftest import micro_mt, micro_vocab
+from conftest import cpus, micro_mt, micro_vocab
 
 
 @pytest.fixture
@@ -505,6 +509,125 @@ def test_evaluation_memory_is_bounded_by_the_block(vocab, monkeypatch):
         tc.classify_tokens_batch([list(s) for s in src[:n]])
 
     run(4)  # warm up caches that live past the call
-    one_block = traced_peak(lambda: run(4))
-    eight_blocks = traced_peak(lambda: run(32))
+    with cpus(1):  # one block at a time
+        one_block = traced_peak(lambda: run(4))
+        eight_blocks = traced_peak(lambda: run(32))
     assert eight_blocks < 2 * one_block, (eight_blocks, one_block)
+    with cpus(2):  # in pairs (map_blocks): two blocks in flight
+        paired = traced_peak(lambda: run(32))
+    assert paired < 3 * one_block, (paired, one_block)
+
+
+# ---------------------------------------------------------------------------
+# the block map: pairs on a helper thread, per-thread grad mode
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("failing", [[0], [1], [0, 1], [3], [2, 3], [4]])
+def test_a_failing_block_raises_as_a_run_in_row_order(failing):
+    # five blocks, the second of each pair on the helper and slower there
+    started, finished = [], []
+
+    def block(i):
+        started.append(i)
+        time.sleep(0.05 * (i % 2))
+        finished.append(i)
+        if i in failing:
+            raise ValueError(f"block {i} failed")
+        return i
+
+    messages = []
+    for n in (1, 2):
+        started.clear()
+        finished.clear()
+        with cpus(n), pytest.raises(ValueError) as info:
+            mt_module.map_blocks(block, range(5))
+        messages.append(str(info.value))
+        # the caller waited for the helper's block, and no later block started
+        assert sorted(started) == sorted(finished)
+        time.sleep(0.1)
+        assert sorted(started) == sorted(finished) and max(started) <= min(failing) + 1
+    assert messages == [f"block {min(failing)} failed"] * 2
+
+
+def test_grad_mode_is_per_thread_and_blocks_record_no_tape():
+    x = Tensor(np.ones(3), requires_grad=True)
+
+    def recorded() -> bool:
+        return ad.grad_enabled() and ad.scale(x, 2.0).requires_grad
+
+    # no_grad in another thread leaves this one recording
+    inside, release, seen = threading.Event(), threading.Event(), []
+
+    def switched_off():
+        with no_grad():
+            inside.set()
+            release.wait(10)
+            seen.append(recorded())
+
+    worker = threading.Thread(target=switched_off)
+    worker.start()
+    assert inside.wait(10)
+    assert recorded()
+    release.set()
+    worker.join()
+    assert seen == [False]
+    # and no_grad here leaves another thread recording
+    with no_grad():
+        worker = threading.Thread(target=lambda: seen.append(recorded()))
+        worker.start()
+        worker.join()
+        assert not recorded()
+    assert seen == [False, True] and recorded()
+    # every block runs off the tape, on this thread or on the helper
+    for n in (1, 2):
+        with cpus(n):
+            runs = mt_module.map_blocks(lambda i: (recorded(), threading.get_ident()), range(4))
+        assert [rec for rec, _ in runs] == [False] * 4
+        helper = {ident for _, ident in runs} - {threading.get_ident()}
+        assert len(helper) == n - 1
+        assert recorded()
+
+
+def test_a_block_that_maps_blocks_runs_them_inline():
+    # a map_blocks call from inside a block, on the helper thread too, does
+    # not wait on the helper: it runs its blocks on the calling thread
+    results = []
+
+    def nested():
+        with cpus(2):
+            results.append(mt_module.map_blocks(
+                lambda i: mt_module.map_blocks(lambda j: (i, j, threading.get_ident()),
+                                               range(2)), range(2)))
+
+    worker = threading.Thread(target=nested, daemon=True)
+    worker.start()
+    worker.join(30)
+    assert not worker.is_alive(), "a nested map_blocks call did not return"
+    (outer,) = results
+    assert [[(i, j) for i, j, _ in inner] for inner in outer] == [[(0, 0), (0, 1)],
+                                                                  [(1, 0), (1, 1)]]
+    assert all(len({ident for _, _, ident in inner}) == 1 for inner in outer)
+
+
+def test_a_forked_child_starts_its_own_helper():
+    # the helper thread does not survive a fork; the child must not wait on it
+    with cpus(2):
+        assert mt_module.map_blocks(lambda i: i, range(2)) == [0, 1]
+    pid = os.fork()
+    if pid == 0:  # the child
+        code = 1
+        try:
+            with cpus(2):
+                code = 0 if mt_module.map_blocks(lambda i: i, range(4)) == [0, 1, 2, 3] else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            assert os.waitstatus_to_exitcode(status) == 0
+            return
+        time.sleep(0.05)
+    os.kill(pid, 9)
+    os.waitpid(pid, 0)
+    pytest.fail("the forked child's map_blocks did not return")
