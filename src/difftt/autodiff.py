@@ -67,10 +67,10 @@ def _keep_freed_heap_pages() -> bool:
     to 32 MiB (glibc's largest mmap threshold) go on the heap, and up to
     128 MiB of free heap top (more than one training batch's tape) stays
     mapped. Both are set because setting either one ends glibc's dynamic
-    threshold. Every thread allocates from the one main arena, so the block
-    map's helper thread (``mt.map_blocks``) reuses the pages the calling
-    thread freed instead of growing an arena of its own (about 3 MB more
-    peak on evaluation). Returns whether the thresholds were set: not off
+    threshold. Every thread allocates from the one main arena, so the helper
+    thread that a paired ``mt.map_blocks`` call starts reuses the pages the
+    calling thread freed instead of growing an arena of its own (about 3 MB
+    more peak on evaluation). Returns whether the thresholds were set: not off
     glibc, and not when the environment already tunes malloc through
     ``GLIBC_TUNABLES`` or a ``MALLOC_*_`` variable.
     """

@@ -11,7 +11,6 @@ token column and reads earlier keys and values from a per-layer cache.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -340,8 +339,7 @@ class MtTrainResult(FitResult):
 
 def _through_eos(tokens: np.ndarray, eos_id: int) -> np.ndarray:
     """``tokens`` up to and including the first EOS, or all of them."""
-    hits = np.flatnonzero(tokens == eos_id)
-    return tokens[:hits[0] + 1] if hits.size else tokens
+    return tokens[:_lengths(tokens[None], eos_id)[0]]
 
 
 # Rows that a gradient-free batch path (greedy decoding, classification)
@@ -359,29 +357,9 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(i, min(i + BLOCK_ROWS, n)) for i in range(0, n, BLOCK_ROWS)]
 
 
-class _BlockThread(threading.local):
-    """Whether the calling thread is running a block of ``map_blocks``."""
-    busy = False
-
-
-_BLOCK_THREAD = _BlockThread()
-_helper = None  # a one-thread executor, made on first paired use
-_helper_lock = threading.Lock()
-
-
 def _run_block(fn, block):
-    busy, _BLOCK_THREAD.busy = _BLOCK_THREAD.busy, True
-    try:
-        with no_grad():
-            return fn(block)
-    finally:
-        _BLOCK_THREAD.busy = busy
-
-
-def _forget_helper():
-    """In a forked child, which has no helper thread: make another on use."""
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
+    with no_grad():
+        return fn(block)
 
 
 def map_blocks(fn, blocks) -> list:
@@ -389,37 +367,24 @@ def map_blocks(fn, blocks) -> list:
 
     With more than one CPU in this process's affinity and two or more
     blocks, the blocks run in pairs: the first of a pair on the calling
-    thread, the second on one helper thread, which starts on first use and
-    is shared by every call. The caller waits for the helper's block before
-    it goes on, returns or re-raises, so the helper is idle whenever no call
-    is running; an exception in the first block of a pair wins over one in
-    the second, so the exception is that of a run in row order. A block's
-    ops never depend on another block's, so the results are bitwise those of
-    that run; numpy releases the GIL in BLAS and in large ufunc loops, which
-    is where the pair overlaps. One block, one CPU (or no affinity call on
-    this platform), or a call from inside a block runs in row order on the
-    calling thread.
+    thread, the second on a helper thread that the call starts and joins
+    before it returns or raises, and the first block's exception wins, as
+    in a run in row order. A block's ops never depend on another block's,
+    so the results are bitwise those of that run; numpy releases the GIL in
+    BLAS and in large ufunc loops, which is where the pair overlaps. One
+    block, or one CPU (or no affinity call on this platform), runs in row
+    order on the calling thread.
     """
-    if (len(blocks) < 2 or _BLOCK_THREAD.busy or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2):
+    if len(blocks) < 2 or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         return [_run_block(fn, block) for block in blocks]
     # imported here: concurrent.futures imports logging, which nothing else needs
-    from concurrent.futures import ThreadPoolExecutor, wait
-    global _helper
-    with _helper_lock:
-        if _helper is None:
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="difftt-blocks")
-            os.register_at_fork(after_in_child=_forget_helper)
+    from concurrent.futures import ThreadPoolExecutor
     out = []
-    for i in range(0, len(blocks), 2):
-        second = _helper.submit(_run_block, fn, blocks[i + 1]) if i + 1 < len(blocks) else None
-        try:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="difftt-blocks") as helper:
+        for i in range(0, len(blocks), 2):
+            second = [helper.submit(_run_block, fn, block) for block in blocks[i + 1:i + 2]]
             out.append(_run_block(fn, blocks[i]))
-        finally:
-            if second is not None:
-                wait([second])  # the helper's block is done
-        if second is not None:
-            out.append(second.result())
+            out.extend(future.result() for future in second)
     return out
 
 

@@ -24,6 +24,8 @@ from .optim import FitResult, TrainConfig, fit
 from .tc import Prediction, TcConfig, TcModel
 from .vocab import Vocabulary, assert_alignment
 
+FORMAT_VERSION = 1  # of pipeline.json
+
 
 @dataclass
 class FreezingPolicy:
@@ -208,7 +210,7 @@ class TranslateTestPipeline:
         directory.mkdir(parents=True, exist_ok=True)
         self.mt.save(directory / "mt.npz")
         self.tc.save(directory / "tc.npz")
-        write_json(directory / "pipeline.json", {"format_version": 1,
+        write_json(directory / "pipeline.json", {"format_version": FORMAT_VERSION,
                                                  "freezing": asdict(self.freezing),
                                                  "vocab_hash": vocab_hash(self.vocab)})
         self.vocab.save(directory / "vocab.txt")
@@ -218,6 +220,8 @@ class TranslateTestPipeline:
         directory = Path(directory)
         path = directory / "pipeline.json"
         meta = read_json(path, ("freezing", "vocab_hash"))
+        if (version := meta.get("format_version")) != FORMAT_VERSION or type(version) is not int:
+            raise ValueError(f"{path}: unsupported pipeline format version {version!r}")
         try:
             freezing = FreezingPolicy(**meta["freezing"])
         except (TypeError, ValueError) as exc:  # unknown, missing or out-of-range fields

@@ -212,6 +212,12 @@ class TcModel(ModelFile):
                 or sum(len(block) for block in blocks) != len(lengths)):
             raise ValueError("classify_soft_values takes a list of (n, m, V) blocks "
                              "that together hold one row per length")
+        steps = np.concatenate([np.full(len(block), block.shape[1]) for block in blocks])
+        outside = np.flatnonzero((lengths < 1) | (lengths > steps))
+        if outside.size:
+            i = outside[0]
+            raise ValueError(f"row {i}: length {lengths[i]} is outside [1, {steps[i]}], "
+                             "its block's step count")
         m = int(lengths.max())
         rows = _block_rows(blocks)
 

@@ -95,10 +95,10 @@ def test_freed_arrays_reuse_heap_pages():
     assert int(out) == 0
 
 
-def test_the_helper_thread_starts_on_first_paired_use_only():
-    # importing, building models and a one-block batch start no thread; the
-    # first batch of two blocks on two CPUs starts the one helper, which a
-    # later batch reuses and which does not hold up the process's exit
+def test_a_paired_call_joins_its_helper_thread_before_it_returns():
+    # importing, building models and a one-block batch start no thread; a
+    # batch of two blocks on two CPUs runs one block on a helper thread that
+    # the call starts and joins, so no thread is left after any call
     out = run_python(
         "import os, threading\n"
         "import numpy as np\n"
@@ -114,5 +114,7 @@ def test_the_helper_thread_starts_on_first_paired_use_only():
         "for _ in range(2):\n"
         "    model.greedy_decode_batch(np.full((2 * mt.BLOCK_ROWS, 2), 5))\n"
         "    counts.append(threading.active_count())\n"
-        "print(counts)\n")
-    assert out == "[1, 1, 2, 2]"
+        "names = mt.map_blocks(lambda i: threading.current_thread().name, range(2))\n"
+        "print(counts, names[0] == threading.current_thread().name,\n"
+        "      names[1].startswith('difftt-blocks'))\n")
+    assert out == "[1, 1, 1, 1] True True"

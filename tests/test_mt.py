@@ -588,25 +588,21 @@ def test_grad_mode_is_per_thread_and_blocks_record_no_tape():
         assert recorded()
 
 
-def test_a_block_that_maps_blocks_runs_them_inline():
+def test_a_block_that_maps_blocks_returns():
     # a map_blocks call from inside a block, on the helper thread too, does
-    # not wait on the helper: it runs its blocks on the calling thread
+    # not wait on another call's helper: it returns its results in row order
     results = []
 
     def nested():
         with cpus(2):
             results.append(mt_module.map_blocks(
-                lambda i: mt_module.map_blocks(lambda j: (i, j, threading.get_ident()),
-                                               range(2)), range(2)))
+                lambda i: mt_module.map_blocks(lambda j: (i, j), range(2)), range(2)))
 
     worker = threading.Thread(target=nested, daemon=True)
     worker.start()
     worker.join(30)
     assert not worker.is_alive(), "a nested map_blocks call did not return"
-    (outer,) = results
-    assert [[(i, j) for i, j, _ in inner] for inner in outer] == [[(0, 0), (0, 1)],
-                                                                  [(1, 0), (1, 1)]]
-    assert all(len({ident for _, _, ident in inner}) == 1 for inner in outer)
+    assert results == [[[(0, 0), (0, 1)], [(1, 0), (1, 1)]]]
 
 
 def test_a_forked_child_starts_its_own_helper():

@@ -2,6 +2,7 @@
 one-hots, fine-tuning behavior, persistence."""
 
 import json
+import re
 import tracemalloc
 import weakref
 from unittest.mock import patch
@@ -598,7 +599,7 @@ def test_load_detects_vocab_tampering(pipeline, tmp_path):
     ("pipeline.json", b"{not json"),
     ("pipeline.json", b"[]"),
     ("pipeline.json", b'{"format_version": 1}'),
-    ("pipeline.json", b'{"freezing": {"mt_share": 0.5}, "vocab_hash": ""}'),
+    ("pipeline.json", b'{"format_version": 1, "freezing": {"mt_share": 0.5}, "vocab_hash": ""}'),
     ("mt.npz", None),
     ("tc.npz", None),
 ], ids=["pipeline-not-json", "pipeline-not-object", "pipeline-missing-keys",
@@ -608,6 +609,22 @@ def test_load_names_a_corrupt_file(pipeline, tmp_path, name, content):
     path = tmp_path / "pipe" / name
     path.write_bytes(path.read_bytes()[:100] if content is None else content)
     with pytest.raises(ValueError, match=name):
+        TranslateTestPipeline.load(tmp_path / "pipe")
+
+
+@pytest.mark.parametrize("version", [2, "x", None, True, 1.0])
+def test_load_rejects_another_pipeline_format_version(pipeline, tmp_path, version):
+    # None: the file holds no format_version at all
+    pipeline.save(tmp_path / "pipe")
+    path = tmp_path / "pipe" / "pipeline.json"
+    meta = json.loads(path.read_text())
+    if version is None:
+        del meta["format_version"]
+    else:
+        meta["format_version"] = version
+    path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: unsupported pipeline format version {version!r}")):
         TranslateTestPipeline.load(tmp_path / "pipe")
 
 

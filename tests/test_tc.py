@@ -2,6 +2,8 @@
 results under padding, ranking determinism, head permutation symmetry, and a
 separable learning task."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,28 @@ def test_empty_batch_rejected_by_name(model, vocab):
         model.classify_tokens_batch([])
     with pytest.raises(ValueError, match="empty batch"):
         model.classify_soft_values([np.zeros((0, 3, len(vocab)))], np.zeros(0, dtype=int))
+
+
+@pytest.mark.parametrize("embedded", [False, True])
+def test_soft_lengths_outside_their_blocks_steps_rejected_by_row(model, vocab, embedded):
+    # a length past its block's step count would read steps that were never
+    # written, and a length of 0 is an empty row, which the token path rejects
+    width = model.config.d_model if embedded else len(vocab)
+
+    def block(n, m):
+        return np.full((n, m, width), 1.0 / width)
+
+    for lengths, message in (([3, 5], "row 1: length 5 is outside [1, 3]"),
+                             ([3, 6], "row 1: length 6 is outside [1, 3]"),
+                             ([0, 2], "row 0: length 0 is outside [1, 3]")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            model.classify_soft_values([block(2, 3)], np.asarray(lengths), embedded=embedded)
+    # the step count is that of the row's own block, not the batch's
+    with pytest.raises(ValueError, match=re.escape("row 2: length 3 is outside [1, 2]")):
+        model.classify_soft_values([block(2, 3), block(1, 2)], np.asarray([3, 3, 3]),
+                                   embedded=embedded)
+    assert len(model.classify_soft_values([block(2, 3), block(1, 2)], np.asarray([3, 1, 2]),
+                                          embedded=embedded)) == 3
 
 
 @pytest.mark.parametrize("overrides,match", [
