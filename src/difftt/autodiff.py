@@ -199,8 +199,9 @@ def _released(g):
 def _accum(t: Tensor, g: np.ndarray):
     """Add ``g`` into ``t.grad``. A first gradient is stored as is, not
     copied, so it may share memory with other gradients or be a view. That is
-    safe because no code writes into a ``.grad`` in place: every update
-    (accumulation, averaging, clipping) assigns a new array. An op output's
+    safe because no code writes into such an array: accumulation assigns a
+    new one, and ``AdamW.step`` averages and clips a copy in its own buffer
+    (``clip_global_norm`` alone assigns new arrays too). An op output's
     ``.grad`` lives only until ``Tensor.backward`` has passed it on; a
     leaf's accumulates until ``zero_grad``."""
     if not t.requires_grad:
@@ -453,11 +454,18 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU. The cdf is built in one array, op by op as
-    ``0.5 * (1.0 + erf(x / sqrt(2)))`` orders them, so its floats are those
-    of that expression without its temporaries. Off the tape only the
-    backward pass would read the cdf, so the output is written over it."""
-    cdf = x.data * _INV_SQRT2
+    ``0.5 * (1.0 + erf(x * _INV_SQRT2))`` orders them, so its floats are
+    those of that expression without its temporaries. ``erf`` runs on
+    ``|x| * _INV_SQRT2`` and the result takes x's sign: scipy computes a
+    negative argument as ``-erf(-x)`` and any NaN as a positive NaN, so the
+    floats are the same, and its sign branch no longer mispredicts. Off the
+    tape only the backward pass would read the cdf, so the output is written
+    over it."""
+    cdf = np.abs(x.data)
+    cdf *= _INV_SQRT2
     erf(cdf, out=cdf)
+    np.copysign(cdf, x.data, out=cdf)
+    np.abs(cdf, out=cdf, where=np.isnan(x.data))
     cdf += 1.0
     cdf *= 0.5
     out = np.multiply(x.data, cdf, out=cdf if not (_GRAD_MODE.enabled and x.requires_grad)

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fields import check_version
+
 FORMAT_VERSION = 1
 
 
@@ -46,8 +48,7 @@ def load_checkpoint(path):
         with open(path, "rb") as f, np.load(f) as z:
             meta = json.loads(bytes(z["__meta__"]).decode())
             version = meta.get("format_version") if isinstance(meta, dict) else None
-            if version != FORMAT_VERSION:
-                raise ValueError(f"unsupported checkpoint format version: {version}")
+            check_version("__meta__", "checkpoint format version", version, FORMAT_VERSION)
             values = {}
             frozen = {}
             for rec in meta["params"]:

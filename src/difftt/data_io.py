@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import check_counts
+from .fields import check_counts, check_version
 from .synthlang import DatasetBundle, ParallelCorpus, SyntheticLanguageSpec, TaskSpec
 
 MANIFEST_VERSION = 1
@@ -142,9 +142,7 @@ def read_bundle(directory) -> DatasetBundle:
     directory = Path(directory)
     path = directory / "manifest.json"
     manifest = read_json(path, ("task", "lang", "sizes"))
-    if manifest.get("manifest_version") != MANIFEST_VERSION:
-        raise ValueError(f"{path}: unsupported manifest version "
-                         f"{manifest.get('manifest_version')!r}")
+    check_version(path, "manifest version", manifest.get("manifest_version"), MANIFEST_VERSION)
     try:
         task = TaskSpec(**manifest["task"])
         lang = SyntheticLanguageSpec(**manifest["lang"])

@@ -1,5 +1,6 @@
-"""The rules every config dataclass checks its fields by, each stated once
-and written as "fail unless in range", so that NaN fails it."""
+"""The rules every config dataclass checks its fields by, and the one that
+every file reader checks its format version by, each stated once and written
+as "fail unless in range", so that NaN fails it."""
 
 from __future__ import annotations
 
@@ -38,6 +39,14 @@ def check_fields(config, at_least: dict | None = None, unit: tuple[str, ...] = (
         value = getattr(config, field)
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name}.{field}={value}: must be in [0, 1]")
+
+
+def check_version(where: str, what: str, value, expected: int):
+    """Raise ``ValueError`` naming ``where`` and ``value`` unless the file
+    version ``value`` is the integer ``expected`` by the kind rule: ``true``,
+    ``1.0`` and ``"1"`` are not the version 1."""
+    if not (_has_kind(value, "int") and value == expected):
+        raise ValueError(f"{where}: unsupported {what} {value!r}")
 
 
 def check_counts(key: str, values, length: int | None = None):

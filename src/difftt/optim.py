@@ -14,6 +14,10 @@ from .params import Parameter, ParamStore
 # AdamW's moment decay rates and denominator guard; every stage uses these
 BETAS = (0.9, 0.999)
 EPS = 1e-8
+# floats per pass of AdamW's update loop, so that its operands stay in cache:
+# on the benchmark's 155,412 floats 16,384 was as fast as 24,576 or 32,768, with
+# the narrowest spread, and faster than 8,192 or one pass
+CHUNK = 16384
 
 
 @dataclass
@@ -46,14 +50,33 @@ class AdamW:
     ``max_grad_norm`` and ``grad_accum`` from the run's ``TrainConfig``; the
     betas and eps are ``BETAS`` and ``EPS``. Frozen parameters are never
     touched; their moment accumulators do not exist.
+
+    The moments live in two flat float64 buffers laid out in parameter order;
+    ``m`` and ``v`` map each name to its view. A step copies the gradients
+    into a third such buffer, which each ``p.grad`` then views until the next
+    step, and writes the new values into a fresh flat buffer, which each
+    parameter's array then views. A parameter whose array was replaced since
+    the last step (``ParamStore.load_state``) is read from its new array.
     """
 
     def __init__(self, params: list[Parameter], config: TrainConfig):
         self.config = config
         self.params = [p for p in params if not p.frozen]
         self.t = 0
-        self.m = {p.name: np.zeros_like(p.data) for p in self.params}
-        self.v = {p.name: np.zeros_like(p.data) for p in self.params}
+        self._shapes = [p.data.shape for p in self.params]
+        stops = np.cumsum([p.data.size for p in self.params], dtype=int).tolist()
+        self._bounds = list(zip([0] + stops, stops))  # each parameter's slice of a flat buffer
+        size = stops[-1] if stops else 0
+        self._m, self._v, self._grad = np.zeros(size), np.zeros(size), np.zeros(size)
+        self.m = dict(zip((p.name for p in self.params), self._views(self._m)))
+        self.v = dict(zip((p.name for p in self.params), self._views(self._v)))
+        self._grads = self._views(self._grad)
+        self._values, self._value_views = None, []  # the last step's output and its views
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each parameter's view of the flat buffer ``flat``."""
+        return [flat[start:stop].reshape(shape)
+                for (start, stop), shape in zip(self._bounds, self._shapes)]
 
     def current_lr(self) -> float:
         """Linear warmup from 0 to lr, constant afterwards (uses the next step index)."""
@@ -72,9 +95,12 @@ class AdamW:
         updated: a comparison with NaN is False, so clipping alone would let
         it through into the parameters.
         """
+        # each gradient's squared sum, added as a Python float; the gradients
+        # that view the flat buffer are squared there in one pass
+        squares = np.square(self._grad)
         total = 0.0
-        for p in self.params:
-            total += float((p.grad ** 2).sum())
+        for p, view, (start, stop) in zip(self.params, self._grads, self._bounds):
+            total += float((squares[start:stop] if p.grad is view else p.grad ** 2).sum())
         norm = float(np.sqrt(total))
         if not np.isfinite(norm):
             culprit = next((p.name for p in self.params if not np.all(np.isfinite(p.grad))),
@@ -85,31 +111,88 @@ class AdamW:
         limit = self.config.max_grad_norm
         if limit > 0 and norm > limit:
             factor = limit / norm
-            for p in self.params:
-                p.tensor.grad = p.grad * factor
+            self._grad *= factor  # the gradients that view the buffer, and a step's copies
+            for p, view in zip(self.params, self._grads):
+                if p.grad is not view:
+                    p.tensor.grad = p.grad * factor
         return norm
 
-    def step(self, micro_batches: int | None = None):
-        cfg = self.config
-        for p in self.params:
-            if p.grad is None:
+    def _gather_grads(self, n: int):
+        """Copy every gradient into the flat buffer and divide it by ``n``.
+        Each ``p.grad`` becomes its view of the buffer, except a gradient
+        that is not C-contiguous: that one becomes ``p.grad / n`` as before,
+        so that its squared sum in ``clip_global_norm`` runs over its own
+        memory order and the norm keeps its bits."""
+        for p, view in zip(self.params, self._grads):
+            g = p.grad
+            if g is None:
                 raise ValueError(f"missing gradient on trainable parameter {p.name!r}")
-        n = cfg.grad_accum if micro_batches is None else micro_batches
+            if g is not view:  # else the last step's gradient, still in the buffer
+                view[...] = g
+                if g.flags.c_contiguous:
+                    p.tensor.grad = view
+                elif n != 1:
+                    p.tensor.grad = g / n
         if n != 1:
-            for p in self.params:
-                p.tensor.grad = p.grad / n
-        self.clip_global_norm()
+            self._grad /= n
+
+    def _gather_values(self) -> np.ndarray:
+        """The parameter values as one flat buffer: the last step's output
+        while every parameter still views it, else a copy gathered from the
+        parameters' arrays."""
+        if self._values is not None and all(
+                p.data is view for p, view in zip(self.params, self._value_views)):
+            return self._values
+        flat = np.empty_like(self._grad)
+        for p, view in zip(self.params, self._views(flat)):
+            view[...] = p.data
+        return flat
+
+    def step(self, micro_batches: int | None = None) -> float:
+        """One update of every trainable parameter; returns the global
+        gradient norm before clipping. The update runs over ``CHUNK``-float
+        slices of the flat buffers, op by op as the per-parameter
+        expressions order them, so every float is that of the expressions."""
+        cfg = self.config
+        self._gather_grads(cfg.grad_accum if micro_batches is None else micro_batches)
+        norm = self.clip_global_norm()
         lr = self.current_lr()
         self.t += 1
         b1, b2 = BETAS
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for p in self.params:
-            g = p.grad
-            m = self.m[p.name] = b1 * self.m[p.name] + (1 - b1) * g
-            v = self.v[p.name] = b2 * self.v[p.name] + (1 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
-            p.tensor.data = p.data - lr * update - lr * cfg.weight_decay * p.data
+        decay = lr * cfg.weight_decay
+        values = self._gather_values()
+        out = np.empty_like(values)
+        scratch = np.empty((2, min(CHUNK, out.size)))
+        for start in range(0, out.size, CHUNK):
+            span = slice(start, start + CHUNK)
+            g, m, v, p, new = (a[span] for a in (self._grad, self._m, self._v, values, out))
+            s, u = scratch[:, :g.size]
+            # m = b1 * m + (1 - b1) * g
+            m *= b1
+            np.multiply(g, 1 - b1, out=s)
+            m += s
+            # v = b2 * v + (1 - b2) * (g * g)
+            np.multiply(g, g, out=s)
+            s *= 1 - b2
+            v *= b2
+            v += s
+            # update = (m / bc1) / (sqrt(v / bc2) + EPS)
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += EPS
+            np.divide(m, bc1, out=u)
+            u /= s
+            # new = p - lr * update - lr * weight_decay * p
+            u *= lr
+            np.subtract(p, u, out=new)
+            np.multiply(p, decay, out=u)
+            new -= u
+        self._values, self._value_views = out, self._views(out)
+        for p, view in zip(self.params, self._value_views):
+            p.tensor.data = view
+        return norm
 
     def zero_grad(self):
         for p in self.params:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data_io import read_json, write_json
-from .fields import check_fields
+from .fields import check_fields, check_version
 from .metrics import score
 from .mt import MtConfig, MtModel, _pad_batch, translate
 from .optim import FitResult, TrainConfig, fit
@@ -220,8 +220,7 @@ class TranslateTestPipeline:
         directory = Path(directory)
         path = directory / "pipeline.json"
         meta = read_json(path, ("freezing", "vocab_hash"))
-        if (version := meta.get("format_version")) != FORMAT_VERSION or type(version) is not int:
-            raise ValueError(f"{path}: unsupported pipeline format version {version!r}")
+        check_version(path, "pipeline format version", meta.get("format_version"), FORMAT_VERSION)
         try:
             freezing = FreezingPolicy(**meta["freezing"])
         except (TypeError, ValueError) as exc:  # unknown, missing or out-of-range fields

@@ -251,6 +251,28 @@ def test_relu_gelu(rng):
         check_op(ad.gelu, [rng.normal(size=s)], tol=1e-6)
 
 
+GELU_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2e-308,
+              -2.2e-308, 1e-10, -1e-10, 0.5, -0.5, 6.0, -6.0, 26.0, -26.0, 1e300, -1e300]
+
+
+@pytest.mark.parametrize("on_tape", [False, True])
+def test_gelu_equals_the_signed_erf_form_bitwise(rng, on_tape):
+    # gelu takes erf of |x| and puts x's sign back; the cdf, and so the output
+    # and the gradient, keep the bits of 0.5 * (1.0 + erf(x * (1 / sqrt(2)))),
+    # NaN's sign included
+    x = np.concatenate([np.array(GELU_EDGES), rng.normal(size=2000) * 4.0,
+                        rng.standard_cauchy(size=2000)])
+    with np.errstate(invalid="ignore", over="ignore"):  # x * x at 1e300, inf * 0
+        cdf = 0.5 * (1.0 + ad.erf(x * (1.0 / math.sqrt(2.0))))
+        pdf = 1.0 / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * x * x)
+        t = Tensor(x, requires_grad=on_tape)
+        out = ad.gelu(t)
+        assert out.data.tobytes() == (x * cdf).tobytes()
+        if on_tape:
+            ad.sum_all(out).backward()
+            assert t.grad.tobytes() == (np.ones_like(x) * (cdf + x * pdf)).tobytes()
+
+
 def test_masked_mean_pool(rng):
     for _ in range(CASES):
         b, t, d = (int(rng.integers(1, 4)) for _ in range(3))

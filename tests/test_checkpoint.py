@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 import warnings
 
 import numpy as np
@@ -35,6 +36,21 @@ def test_version_mismatch_rejected(tmp_path, monkeypatch):
     save_checkpoint(path, [Parameter("w", np.zeros(2))])
     monkeypatch.undo()
     with pytest.raises(ValueError, match="format version"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2])
+def test_format_version_must_be_the_integer_1(tmp_path, monkeypatch, version):
+    # true == 1 and 1.0 == 1 in Python, so a plain comparison let both load
+    import difftt.checkpoint as cp
+
+    path = tmp_path / "ckpt.npz"
+    monkeypatch.setattr(cp, "FORMAT_VERSION", version)
+    save_checkpoint(path, [Parameter("w", np.zeros(2))])
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=re.escape(
+            f"cannot load checkpoint {path}: __meta__: unsupported checkpoint format version "
+            f"{version!r}")):
         load_checkpoint(path)
 
 

@@ -1,6 +1,7 @@
 """On-disk round-trips for corpora and dataset bundles."""
 
 import json
+import re
 
 import pytest
 
@@ -52,6 +53,21 @@ def test_bundle_manifest_version_checked(tmp_path):
     manifest["manifest_version"] = 99
     path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="manifest.json: unsupported manifest version 99"):
+        read_bundle(tmp_path / "data")
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2])
+def test_manifest_version_must_be_the_integer_1(tmp_path, version):
+    # true == 1 and 1.0 == 1 in Python, so a plain comparison let both load
+    bundle = gen_classification_dataset(TaskSpec(), SyntheticLanguageSpec(seed=1),
+                                        sizes=(30, 120, 20), parallel_sizes=(20, 5, 5))
+    write_bundle(bundle, tmp_path / "data")
+    path = tmp_path / "data" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["manifest_version"] = version
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: unsupported manifest version {version!r}")):
         read_bundle(tmp_path / "data")
 
 

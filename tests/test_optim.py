@@ -1,14 +1,19 @@
 """Optimizer semantics: hand-computed single-step oracle, warmup schedule,
-clipping, accumulation averaging, the frozen-parameter contract, the
-``fit`` loop's accumulation and best-epoch restore, and the effect of every
-``TrainConfig`` field."""
+clipping, accumulation averaging, the frozen-parameter contract, the flat
+buffers against the per-parameter loop they replaced, the ``fit`` loop's
+accumulation and best-epoch restore, and the effect of every ``TrainConfig``
+field."""
 
 import dataclasses
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from difftt import autodiff as ad
+from difftt import optim
 from difftt.mt import TrainConfig
 from difftt.optim import BETAS, EPS, AdamW, fit
 from difftt.params import Parameter, ParamStore
@@ -149,6 +154,143 @@ def test_non_finite_gradient_raises_before_any_update(bad):
     for name, (m, v) in moments.items():
         assert np.array_equal(opt.m[name], m) and np.array_equal(opt.v[name], v)
     assert np.array_equal(p.data, values[0]) and np.array_equal(q.data, values[1])
+
+
+def test_step_returns_the_global_norm_before_clipping():
+    grads = {"a": np.asarray([[3.0, -1.0], [0.5, 2.0]]), "b": np.asarray([4.0, 0.25, -6.0])}
+    cfg = TrainConfig(max_grad_norm=1.0, warmup_steps=0, grad_accum=2)
+    stepped = [make_param(np.zeros(g.shape), name) for name, g in grads.items()]
+    clipped = [make_param(np.zeros(g.shape), name) for name, g in grads.items()]
+    for p in stepped:
+        set_grad(p, grads[p.name])
+    for p in clipped:
+        set_grad(p, grads[p.name] / 2)  # step divides by its two micro-batches
+    norm = AdamW(stepped, cfg).step()
+    assert norm == AdamW(clipped, cfg).clip_global_norm() > cfg.max_grad_norm
+
+
+class LoopAdamW:
+    """The per-parameter AdamW that the flat buffers replaced, kept as their
+    oracle: every array of a step is a new one, computed by the expressions
+    ``AdamW.step`` evaluates chunk by chunk."""
+
+    current_lr = AdamW.current_lr
+
+    def __init__(self, params, config):
+        self.config = config
+        self.params = [p for p in params if not p.frozen]
+        self.t = 0
+        self.m = {p.name: np.zeros_like(p.data) for p in self.params}
+        self.v = {p.name: np.zeros_like(p.data) for p in self.params}
+
+    def clip_global_norm(self):
+        total = 0.0
+        for p in self.params:
+            total += float((p.grad ** 2).sum())
+        norm = float(np.sqrt(total))
+        limit = self.config.max_grad_norm
+        if limit > 0 and norm > limit:
+            factor = limit / norm
+            for p in self.params:
+                p.tensor.grad = p.grad * factor
+        return norm
+
+    def step(self, micro_batches=None):
+        cfg = self.config
+        n = cfg.grad_accum if micro_batches is None else micro_batches
+        if n != 1:
+            for p in self.params:
+                p.tensor.grad = p.grad / n
+        norm = self.clip_global_norm()
+        lr = self.current_lr()
+        self.t += 1
+        b1, b2 = BETAS
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        for p in self.params:
+            g = p.grad
+            m = self.m[p.name] = b1 * self.m[p.name] + (1 - b1) * g
+            v = self.v[p.name] = b2 * self.v[p.name] + (1 - b2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            p.tensor.data = p.data - lr * update - lr * cfg.weight_decay * p.data
+        return norm
+
+
+def laid_out(values, layout):
+    """``values`` in a C-ordered or F-ordered array, or as a strided or
+    reversed view of a larger buffer."""
+    if layout == "F":
+        return np.asfortranarray(values)
+    if layout == "strided":  # every other float of a buffer twice the size
+        wide = np.zeros(values.shape + (2,))
+        wide[..., 0] = values
+        return wide[..., 0]
+    if layout == "reversed":  # negative strides along the first axis
+        return values[::-1].copy()[::-1]
+    return np.ascontiguousarray(values)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == \
+        np.ascontiguousarray(b).tobytes()
+
+
+LAYOUTS = ["C", "F", "strided", "reversed"]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_flat_buffers_equal_the_per_parameter_loop_bitwise(data):
+    draw = data.draw
+    shapes = draw(st.lists(st.lists(st.integers(1, 7), min_size=1, max_size=3).map(tuple),
+                           min_size=1, max_size=5))
+    frozen = draw(st.lists(st.booleans(), min_size=len(shapes), max_size=len(shapes)))
+    accum = draw(st.integers(1, 3))
+    cfg = TrainConfig(lr=draw(st.sampled_from([1e-3, 0.1])), grad_accum=accum,
+                      warmup_steps=draw(st.integers(0, 3)),
+                      weight_decay=draw(st.sampled_from([0.0, 0.01])),
+                      max_grad_norm=draw(st.sampled_from([0.0, 0.05, 100.0])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stores = [ParamStore(np.random.default_rng(0)) for _ in range(2)]
+    for i, shape in enumerate(shapes):
+        values = rng.normal(size=shape)
+        for store in stores:
+            store.register(f"p{i}", values.copy(), "g")
+            store[f"p{i}"].frozen = frozen[i]
+    flat, loop = (store.parameters() for store in stores)
+    # a small chunk makes the update loop cross parameters and end mid-chunk
+    with patch.object(optim, "CHUNK", draw(st.sampled_from([1, 5, 16, optim.CHUNK]))):
+        opt, oracle = AdamW(flat, cfg), LoopAdamW(loop, cfg)
+        for step in range(draw(st.integers(1, 4))):
+            if step == 0 or draw(st.booleans()):  # else the last step's gradients again
+                scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+                for p, q in zip(flat, loop):
+                    g, layout = rng.normal(size=p.data.shape) * scale, draw(st.sampled_from(LAYOUTS))
+                    p.tensor.grad, q.tensor.grad = laid_out(g, layout), laid_out(g, layout)
+            change = draw(st.sampled_from(["none", "load_state", "assign", "in_place"]))
+            if change == "load_state":
+                state = {name: values + rng.normal(size=values.shape)
+                         for name, values in stores[1].state().items()}
+                for store in stores:
+                    store.load_state(state)
+            elif change == "assign":
+                values = rng.normal(size=flat[0].data.shape)
+                for p in (flat[0], loop[0]):
+                    p.tensor.data = laid_out(values, draw(st.sampled_from(LAYOUTS)))
+            elif change == "in_place":
+                for p in (flat[-1], loop[-1]):
+                    p.data[...] *= -0.5
+            micro_batches = draw(st.sampled_from([None] + list(range(1, accum + 1))))
+            assert opt.step(micro_batches) == oracle.step(micro_batches)
+            assert opt.t == oracle.t and opt.m.keys() == oracle.m.keys()
+            for name in oracle.m:
+                assert same_bits(opt.m[name], oracle.m[name])
+                assert same_bits(opt.v[name], oracle.v[name])
+            for p, q in zip(flat, loop):
+                assert same_bits(p.data, q.data), p.name
+                assert (p.grad is None) == (q.grad is None)
+                if p.grad is not None:
+                    assert same_bits(p.grad, q.grad), p.name
 
 
 def one_param_store(values) -> ParamStore:

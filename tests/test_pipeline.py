@@ -612,7 +612,7 @@ def test_load_names_a_corrupt_file(pipeline, tmp_path, name, content):
         TranslateTestPipeline.load(tmp_path / "pipe")
 
 
-@pytest.mark.parametrize("version", [2, "x", None, True, 1.0])
+@pytest.mark.parametrize("version", [2, "x", None, True, 1.0, "1"])
 def test_load_rejects_another_pipeline_format_version(pipeline, tmp_path, version):
     # None: the file holds no format_version at all
     pipeline.save(tmp_path / "pipe")
