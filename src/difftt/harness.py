@@ -28,10 +28,30 @@ from .tc import TcConfig, TcModel, train_tc
 from .vocab import SPECIALS, Vocabulary
 
 
+def _check_distinct_counts(key: str, values):
+    """``check_counts``, and no value repeats: a repeat would write duplicate
+    report rows, or overwrite a sweep column."""
+    check_counts(key, values)
+    if len(set(values)) < len(values):
+        raise ValueError(f"{key} {values} repeat a value")
+
+
+@dataclass
+class SweepSpec:
+    """The BLEU sensitivity sweep: how far ``degrade_language`` degrades the
+    language, and the few-shot budgets each checkpoint is scored at."""
+    severity: float = 0.8
+    budgets: list = field(default_factory=lambda: [0])
+
+    def __post_init__(self):
+        check_fields(self, unit=("severity",))
+        _check_distinct_counts("sweep budgets", self.budgets)
+
+
 # the class each override section of ExperimentConfig is passed to
 _SECTIONS = {"task": TaskSpec, "lang": SyntheticLanguageSpec, "mt_model": MtConfig,
              "tc_model": TcConfig, "freezing": FreezingPolicy, "mt_train": TrainConfig,
-             "tc_train": TrainConfig, "finetune": TrainConfig}
+             "tc_train": TrainConfig, "finetune": TrainConfig, "sweep": SweepSpec}
 # the fields of a section's class that the section refuses, and what sets them
 # instead; a section takes the other fields of its class
 _SEEDED = ({"seed"}, "the config's seeds set the training seed")
@@ -41,7 +61,6 @@ _SET_ELSEWHERE = {"mt_train": _SEEDED, "tc_train": _SEEDED, "finetune": _SEEDED,
 _SECTION_KEYS = {section: {f.name for f in dataclasses.fields(target)}
                  - _SET_ELSEWHERE.get(section, (set(), ""))[0]
                  for section, target in _SECTIONS.items()}
-_SECTION_KEYS["sweep"] = {"severity", "budgets"}
 # each stage's recipe: TrainConfig's defaults with these, under the section's overrides
 _STAGE_RECIPES = {"mt": {}, "tc": dict(lr=3e-6),
                   "finetune": dict(lr=3e-6, warmup_steps=0, grad_accum=1, batch_size=1)}
@@ -69,7 +88,7 @@ class ExperimentConfig:
     mt_train: dict = field(default_factory=dict)   # TrainConfig overrides
     tc_train: dict = field(default_factory=dict)
     finetune: dict = field(default_factory=dict)
-    sweep: dict = field(default_factory=lambda: {"severity": 0.8, "budgets": [0]})
+    sweep: dict = field(default_factory=dict)      # SweepSpec overrides
 
     def __post_init__(self):
         for section, known in _SECTION_KEYS.items():
@@ -93,18 +112,14 @@ class ExperimentConfig:
             for which in _STAGE_RECIPES:
                 self.train_config(which, seed=0)
             self.freezing_policy()
-            degrade_language(lang, float(self.sweep.get("severity", 0.8)))
+            self.sweep_spec()
             if not self.methods or not set(self.methods) <= set(_METHODS):
                 raise ValueError(f"methods {self.methods!r}: give one or more of "
                                  f"{list(_METHODS)}")
             check_counts("sizes", self.sizes, 3)
             check_counts("parallel_sizes", self.parallel_sizes, 3)
-            # a repeat would write duplicate report rows, or overwrite a sweep column
-            for key, values in (("seeds", self.seeds), ("budgets", self.budgets),
-                                ("sweep budgets", self.sweep.get("budgets", [0]))):
-                check_counts(key, values)
-                if len(set(values)) < len(values):
-                    raise ValueError(f"{key} {values} repeat a value")
+            _check_distinct_counts("seeds", self.seeds)
+            _check_distinct_counts("budgets", self.budgets)
         except TypeError as exc:  # e.g. a list where a number belongs
             raise ValueError(str(exc)) from exc
         if not self.seeds:
@@ -141,6 +156,9 @@ class ExperimentConfig:
 
     def freezing_policy(self) -> FreezingPolicy:
         return FreezingPolicy(**self.freezing)
+
+    def sweep_spec(self) -> SweepSpec:
+        return SweepSpec(**self.sweep)
 
     def train_config(self, which: str, seed: int) -> TrainConfig:
         """Stage ``which``'s recipe under its section's overrides, for run seed ``seed``."""
@@ -399,8 +417,8 @@ def cmd_sweep_bleu(config: ExperimentConfig, bundle: DatasetBundle | None = None
     """Translation-quality sensitivity: per MT checkpoint, test BLEU and the
     downstream metric; reports the (BLEU, metric) series and their Spearman
     rank correlation, None where a series is constant and it is undefined."""
-    severity = float(config.sweep.get("severity", 0.8))
-    budgets = list(config.sweep.get("budgets", [0]))
+    sweep = config.sweep_spec()
+    severity, budgets = float(sweep.severity), list(sweep.budgets)
     lang = degrade_language(config.lang_spec(), severity)
     if bundle is None:
         bundle = generate_bundle(config, lang=lang)

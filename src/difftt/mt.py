@@ -67,11 +67,9 @@ class SoftTranslation:
 
 class GreedyDecode(list):
     """The greedy tokens of a batch, one array per row up to and including
-    EOS (when reached within the budget), plus ``lengths`` (B,) and, when
-    kept, ``blocks``: the step distributions of each row block, in row order,
-    as the decode produced them, (n, m_b, V) with m_b that block's own step
-    count, or what ``keep_probs`` made of them. ``pad_steps`` pads a block to
-    the batch's step count M = max(lengths)."""
+    EOS (when reached within the budget), plus ``lengths`` (B,) and, with a
+    ``keep`` hook, ``blocks``: what the hook made of each row block's step
+    distributions, in row order."""
     lengths: np.ndarray
     blocks: list[np.ndarray] | None = None
 
@@ -173,7 +171,7 @@ class MtModel(ModelFile):
         x = ad.layer_norm(x, self.dec_ln[0].tensor, self.dec_ln[1].tensor)
         return ad.affine(x, self.out_proj[0].tensor, self.out_proj[1].tensor)
 
-    def greedy_decode_batch(self, src_ids: np.ndarray, keep_probs=False) -> GreedyDecode:
+    def greedy_decode_batch(self, src_ids: np.ndarray, keep=None) -> GreedyDecode:
         """Batched incremental greedy decoding.
 
         A step's token is the argmax of its distribution (ties break to the
@@ -184,27 +182,25 @@ class MtModel(ModelFile):
         all emitted EOS, so a row that never does costs only its block the
         full budget. Within a block, rows that emitted EOS are fed PAD, which
         stays masked as a key. Every row's arithmetic is that of a one-block
-        decode, so the outputs are bitwise equal to it. ``keep_probs`` keeps
-        each block's distributions as ``blocks``, unpadded and uncopied; a
-        callable ``keep_probs(probs, lengths)`` is called instead on each
-        block's distributions, which it may overwrite, and its rows' lengths
-        as soon as the block has decoded, and ``blocks`` keeps what it
-        returns.
+        decode, so the outputs are bitwise equal to it. A ``keep`` hook is
+        called as ``keep(probs, lengths)`` as soon as a block has decoded,
+        with the block's step distributions (n, m_b, V), m_b its own step
+        count, which it may overwrite, and its rows' lengths; ``blocks``
+        keeps what it returns.
         """
         src_ids = np.asarray(src_ids)
         eos = self.vocab.eos_id
 
         def decode(rows):
             memory, cross_mask = self.encode(src_ids[rows])
-            steps, dists = self._greedy_steps(memory, cross_mask, keep_probs)
+            steps, dists = self._greedy_steps(memory, cross_mask, keep is not None)
             del memory, cross_mask  # the encoder output goes before the block's result is made
             tokens = np.stack(steps, axis=1)
-            if not keep_probs:
+            if keep is None:
                 return tokens, None
             probs = np.stack(dists, axis=1)
             del dists
-            return tokens, keep_probs(probs, _lengths(tokens, eos)) if callable(keep_probs) \
-                else probs
+            return tokens, keep(probs, _lengths(tokens, eos))
 
         row_blocks = _row_blocks(len(src_ids))
         blocks = map_blocks(decode, row_blocks)
@@ -216,7 +212,7 @@ class MtModel(ModelFile):
         lengths = _lengths(tokens, eos)
         out = GreedyDecode(tokens[i, :n] for i, n in enumerate(lengths))
         out.lengths = lengths
-        if keep_probs:
+        if keep is not None:
             out.blocks = [kept for _, kept in blocks]
         return out
 
@@ -317,7 +313,7 @@ class MtModel(ModelFile):
         classifies ``greedy_decode_batch``'s blocks instead and never builds
         this array.
         """
-        decoded = self.greedy_decode_batch(src_ids, keep_probs=True)
+        decoded = self.greedy_decode_batch(src_ids, keep=lambda probs, lengths: probs)
         lengths = decoded.lengths
         probs = np.empty((len(lengths), int(lengths.max()), len(self.vocab)))
         for rows, block in zip(_block_rows(decoded.blocks), decoded.blocks):

@@ -109,8 +109,8 @@ class TranslateTestPipeline:
         the next ``predict_hard_batch``."""
         self._translation = None
         src = _pad_batch([list(s) for s in target_ids_batch], self.vocab.pad_id)
-        decoded = self.mt.greedy_decode_batch(src, keep_probs=self.tc.expected_embeddings)
-        preds = self.tc.classify_soft_values(decoded.blocks, decoded.lengths, embedded=True)
+        decoded = self.mt.greedy_decode_batch(src, keep=self.tc.expected_embeddings)
+        preds = self.tc.classify_soft_values(decoded.blocks, decoded.lengths)
         self._translation = _Translation(src, dataclasses.replace(self.mt.config),
                                          self.mt.store.state(), list(decoded))
         return preds
@@ -135,12 +135,14 @@ class TranslateTestPipeline:
 
     def predict_forced_onehot_batch(self, target_ids_batch) -> list[Prediction]:
         """Soft path with every p_j replaced by the one-hot of its argmax."""
+        def onehot(probs, lengths):
+            arg = probs.argmax(axis=-1)
+            probs[:] = 0.0
+            np.put_along_axis(probs, arg[..., None], 1.0, axis=-1)
+            return self.tc.expected_embeddings(probs, lengths)
+
         src = _pad_batch([list(s) for s in target_ids_batch], self.vocab.pad_id)
-        decoded = self.mt.greedy_decode_batch(src, keep_probs=True)
-        for block in decoded.blocks:  # padding a one-hot block adds PAD's one-hot
-            arg = block.argmax(axis=-1)
-            block[:] = 0.0
-            np.put_along_axis(block, arg[..., None], 1.0, axis=-1)
+        decoded = self.mt.greedy_decode_batch(src, keep=onehot)
         return self.tc.classify_soft_values(decoded.blocks, decoded.lengths)
 
     # ------------------------------------------------------------------

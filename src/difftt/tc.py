@@ -178,40 +178,44 @@ class TcModel(ModelFile):
         return score(preds, [label for _, label in labeled], self.config.multi_label)
 
     def expected_embeddings(self, probs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """What the soft path keeps of a block of step distributions (n, m, V),
-        as ``classify_soft_values(..., embedded=True)`` takes it: the PAD
-        one-hot is written over every step past each row's length (in place),
-        and for m >= 2 the block becomes its expected embeddings p @ E
-        (n, m, d). Their rows do not depend on m, so they are bitwise those of
-        the block padded to the batch's step count first. A 1-step product
-        takes another BLAS path (gemv) than a longer one, so a 1-step block
-        is kept as distributions and bridged once the batch's step count is
-        known."""
+        """The block that ``classify_soft_values`` takes, made from a block of
+        step distributions (n, m, V): the PAD one-hot is written over every
+        step past each row's length (in place), and for m >= 2 the block
+        becomes its expected embeddings p @ E (n, m, d). Their rows do not
+        depend on m, so they are bitwise those of the block padded to the
+        batch's step count first. A 1-step product takes another BLAS path
+        (gemv) than a longer one, so a 1-step block is kept as distributions
+        and bridged once the batch's step count is known."""
         probs[np.arange(probs.shape[1])[None, :] >= lengths[:, None]] = \
             np.eye(probs.shape[2])[self.vocab.pad_id]
         if probs.shape[1] == 1:
             return probs
         return bridge.expected_embedding(Tensor(probs), self.emb.tensor).data
 
-    def classify_soft_values(self, blocks: list[np.ndarray], lengths: np.ndarray,
-                             embedded: bool = False) -> list[Prediction]:
-        """Gradient-free `logits_soft` predictions for evaluation from the
-        step distributions of consecutive row blocks, (n, m_b, V) each, as
-        ``MtModel.greedy_decode_batch`` keeps them; a (B, M, V) array is
-        ``[probs]``. Each block is padded to the batch's step count
-        max(lengths) just before its encoder pass, and the list lets go of
-        the unpadded block (its entry becomes None) before that pass, so the
-        distributions are held about once, never as a padded (B, M, V)
-        array beside the decode's. With ``embedded``, the blocks are those of
-        ``expected_embeddings`` instead, and a block of embeddings is padded
-        with E's PAD row, which is p @ E of the PAD one-hot, bitwise."""
+    def classify_soft_values(self, blocks: list[np.ndarray], lengths: np.ndarray
+                             ) -> list[Prediction]:
+        """Gradient-free `logits_soft` predictions for evaluation from
+        consecutive row blocks as ``expected_embeddings`` makes them: the
+        expected embeddings (n, m_b, d) of a block of m_b >= 2 steps, the
+        step distributions (n, 1, V) of a 1-step block. Each block is padded
+        to the batch's step count max(lengths) just before its encoder pass,
+        embeddings with E's PAD row, which is p @ E of the PAD one-hot
+        bitwise, and a 1-step block with the PAD one-hot before it is
+        bridged. The list lets go of each block (its entry becomes None)
+        before that pass, so no padded (B, M, .) array is ever held."""
         lengths = np.asarray(lengths)
         if not len(lengths):
             raise ValueError("empty batch: a batch needs at least one row")
         if (any(np.ndim(block) != 3 for block in blocks)
                 or sum(len(block) for block in blocks) != len(lengths)):
-            raise ValueError("classify_soft_values takes a list of (n, m, V) blocks "
+            raise ValueError("classify_soft_values takes a list of (n, m, width) blocks "
                              "that together hold one row per length")
+        for i, block in enumerate(blocks):
+            width = len(self.vocab) if block.shape[1] == 1 else self.config.d_model
+            if block.shape[2] != width:
+                raise ValueError(f"block {i} ({block.shape[1]}-step) has width {block.shape[2]}, "
+                                 f"not {width}: a 1-step block holds distributions, a longer "
+                                 "one expected embeddings")
         steps = np.concatenate([np.full(len(block), block.shape[1]) for block in blocks])
         outside = np.flatnonzero((lengths < 1) | (lengths > steps))
         if outside.size:
@@ -223,13 +227,13 @@ class TcModel(ModelFile):
 
         def body_of(i):
             block, blocks[i] = blocks[i], None
-            if embedded and block.shape[1] > 1:
-                body = np.empty((len(block), m, block.shape[2]))
-                body[:, :block.shape[1]] = block
-                body[:, block.shape[1]:] = self.emb.data[self.vocab.pad_id]
-                return Tensor(body)
-            padded = pad_steps(block, lengths[rows[i]], m, self.vocab.pad_id)
-            return bridge.expected_embedding(Tensor(padded), self.emb.tensor)
+            if block.shape[1] == 1:
+                padded = pad_steps(block, lengths[rows[i]], m, self.vocab.pad_id)
+                return bridge.expected_embedding(Tensor(padded), self.emb.tensor)
+            body = np.empty((len(block), m, block.shape[2]))
+            body[:, :block.shape[1]] = block
+            body[:, block.shape[1]:] = self.emb.data[self.vocab.pad_id]
+            return Tensor(body)
 
         return self._predictions(self._blocked_logits(body_of, rows, lengths))
 

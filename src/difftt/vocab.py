@@ -55,8 +55,23 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        tokens = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(tokens)
+        """The vocabulary in ``path``, one token a line. A file that is not
+        UTF-8, does not start with the special-token block or lists a token
+        twice raises ``ValueError`` naming it; a repeat names the token and
+        both its lines."""
+        try:
+            tokens = Path(path).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path} is not UTF-8 text: {exc}") from exc
+        seen = {}
+        for line, token in enumerate(tokens, 1):
+            if token in seen:
+                raise ValueError(f"{path}:{line}: the token {token!r} repeats line {seen[token]}")
+            seen[token] = line
+        try:
+            return cls(tokens)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def assert_alignment(mt_vocab: Vocabulary, tc_vocab: Vocabulary):

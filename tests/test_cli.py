@@ -130,6 +130,18 @@ def test_malformed_split_sizes_or_seeds_fail_at_gen_data(tmp_path, overrides):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("severity", [True, "0.5"])
+def test_sweep_severity_of_the_wrong_kind_fails_at_gen_data(tmp_path, severity):
+    # the sweep section holds its fields' kinds like every other section
+    path = write_config(tmp_path, sweep={"severity": severity})
+    result = CliRunner().invoke(main, ["gen-data", str(path)])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"]["category"] == "invalid-config-or-data"
+    assert f"SweepSpec.severity={severity!r}: type" in err["error"]["message"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_too_small_sentence_space_fails_cleanly(tmp_path):
     # only the empty sentence exists; run in a fresh interpreter with a
     # timeout, since the failure this guards against is a generation that
@@ -225,6 +237,27 @@ def test_bad_tsv_row_fails_cleanly_naming_file_and_line(tmp_path):
     err = json.loads(result.stderr.strip().splitlines()[-1])
     assert err["error"]["category"] == "invalid-config-or-data"
     assert "hr_train.tsv:3: invalid literal for int()" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("case", ["not-utf8", "duplicate", "empty"])
+def test_bad_vocab_file_fails_cleanly_naming_it(tmp_path, case):
+    cfg = write_config(tmp_path)
+    runner = CliRunner()
+    assert runner.invoke(main, ["gen-data", str(cfg)]).exit_code == 0
+    path = tmp_path / "run" / "data" / "vocab.txt"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    data, named = {
+        "not-utf8": (path.read_bytes() + b"\xff\n", f"{path} is not UTF-8 text"),
+        "duplicate": (("\n".join(lines + [lines[6]]) + "\n").encode(),
+                      f"{path}:{len(lines) + 1}: the token {lines[6]!r} repeats line 7"),
+        "empty": (b"", f"{path}: vocabulary must start with the special-token block"),
+    }[case]
+    path.write_bytes(data)
+    result = runner.invoke(main, ["train-tc", str(cfg)])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"]["category"] == "invalid-config-or-data"
+    assert named in err["error"]["message"]
 
 
 def test_corrupt_checkpoint_is_reported_as_bad_data(tmp_path, capsys):

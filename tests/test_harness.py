@@ -144,8 +144,8 @@ def test_config_checks_sweep_keys(tmp_path):
     ({"sweep": {"budgets": [0.5]}}, "sweep budgets must be non-negative integers"),
     ({"methods": []}, r"methods \[\]: give one or more of"),
     ({"methods": ["lm", "soft"]}, r"methods \['lm', 'soft'\]: give one or more of"),
-    ({"sweep": {"severity": 1.5}}, r"severity must be in \[0, 1\], got 1.5"),
-    ({"sweep": {"severity": -0.1}}, r"severity must be in \[0, 1\], got -0.1"),
+    ({"sweep": {"severity": 1.5}}, r"SweepSpec.severity=1.5: must be in \[0, 1\]"),
+    ({"sweep": {"severity": -0.1}}, r"SweepSpec.severity=-0.1: must be in \[0, 1\]"),
     # the kind each field's annotation names
     ({"tc_train": {"epochs": 2.5}},
      "TrainConfig.epochs=2.5: type float is not supported; must be an integer"),
@@ -225,6 +225,7 @@ _BELOW_BOUND = {
     "FreezingPolicy": dict(mt_fraction=-0.1, tc_fraction=-0.1),
     "TrainConfig": dict(epochs=0, batch_size=0, lr=-1e-4, warmup_steps=-1, weight_decay=-0.01,
                         max_grad_norm=-1.0, grad_accum=0, seed=-1),
+    "SweepSpec": dict(severity=-0.1),
 }
 
 

@@ -425,7 +425,7 @@ def blocked_outputs(model, seqs, block_rows):
     src = _pad_batch(seqs, model.vocab.pad_id)
     with patch.object(mt_module, "BLOCK_ROWS", block_rows):
         probs, tokens, lengths = model.soft_decode_values(src)
-        decoded = model.greedy_decode_batch(src, keep_probs=True)
+        decoded = model.greedy_decode_batch(src, keep=PROP_TC.expected_embeddings)
         assert len(decoded.blocks) == -(-len(seqs) // block_rows)
         soft = PROP_TC.classify_soft_values(decoded.blocks, decoded.lengths)
         hard = PROP_TC.classify_tokens_batch(seqs)
@@ -504,7 +504,7 @@ def test_evaluation_memory_is_bounded_by_the_block(vocab, monkeypatch):
     src = np.random.default_rng(0).integers(5, len(vocab), size=(8 * 4, 32))
 
     def run(n):
-        decoded = big.greedy_decode_batch(src[:n], keep_probs=True)
+        decoded = big.greedy_decode_batch(src[:n], keep=tc.expected_embeddings)
         tc.classify_soft_values(decoded.blocks, decoded.lengths)
         tc.classify_tokens_batch([list(s) for s in src[:n]])
 

@@ -140,7 +140,8 @@ def test_blockwise_soft_path_equals_the_assembled_one_bitwise(multi_label, seqs,
     with patch.object(mt_module, "BLOCK_ROWS", block_rows):
         soft = logits_of(pipe.predict_batch(seqs))
         probs, _, lengths = pipe.mt.soft_decode_values(_pad_batch(seqs, BLOCK_VOCAB.pad_id))
-        assembled = logits_of(pipe.tc.classify_soft_values([probs], lengths))
+        assembled = logits_of(pipe.tc.classify_soft_values(
+            [pipe.tc.expected_embeddings(probs, lengths)], lengths))
         forced = logits_of(pipe.predict_forced_onehot_batch(seqs))
         hard = logits_of(pipe.predict_hard_batch(seqs))
     if ROWS_DEPEND_ON_STEPS[multi_label]:  # a block's kept p @ E may differ in the last bit
@@ -206,13 +207,16 @@ def test_paired_blocks_equal_inline_ones_bitwise(multi_label, blocks):
     assert paired[0] == inline[0]
     for got, want in zip(paired[1:], inline[1:]):
         assert got.tobytes() == want.tobytes()
+    forced, hard = paired[4], paired[3]
+    assert forced.tobytes() == hard.tobytes()
     # where every block's step count is 1 or M, the kept embeddings give the
     # logits of the assembled distributions bitwise, whatever the BLAS kernel
     lengths = inline[1]
     steps = {int(lengths[i:i + 3].max()) for i in range(0, len(seqs), 3)}
     if steps <= {1, int(lengths.max())}:
         probs, _, _ = pipe.mt.soft_decode_values(_pad_batch(seqs, BLOCK_VOCAB.pad_id))
-        assembled = logits_of(pipe.tc.classify_soft_values([probs], lengths))
+        assembled = logits_of(pipe.tc.classify_soft_values(
+            [pipe.tc.expected_embeddings(probs, lengths)], lengths))
         assert paired[2].tobytes() == assembled.tobytes()
 
 
@@ -462,9 +466,9 @@ def test_finetune_refreshes_drafts_with_verified_tokens(vocab, rng, monkeypatch)
     pipe = TranslateTestPipeline(micro_mt(vocab), micro_tc(vocab))
     decode = pipe.mt.greedy_decode_batch
 
-    def wrong_drafts(src, keep_probs=False):
-        out = decode(src, keep_probs)
-        if not keep_probs:  # the drafts; evaluation decodes with probabilities
+    def wrong_drafts(src, keep=None):
+        out = decode(src, keep)
+        if keep is None:  # the drafts; evaluation decodes with a hook
             for seq in out:
                 seq[0] = (seq[0] + 1) % len(vocab)
         return out

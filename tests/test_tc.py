@@ -56,26 +56,48 @@ def test_empty_batch_rejected_by_name(model, vocab):
         model.classify_soft_values([np.zeros((0, 3, len(vocab)))], np.zeros(0, dtype=int))
 
 
+def embedded_block(model, n, m):
+    """A block of ``n`` rows of ``m`` >= 2 steps as ``expected_embeddings``
+    makes it: (n, m, d) embeddings."""
+    return np.full((n, m, model.config.d_model), 0.5)
+
+
 @pytest.mark.parametrize("embedded", [False, True])
 def test_soft_lengths_outside_their_blocks_steps_rejected_by_row(model, vocab, embedded):
     # a length past its block's step count would read steps that were never
-    # written, and a length of 0 is an empty row, which the token path rejects
-    width = model.config.d_model if embedded else len(vocab)
-
-    def block(n, m):
-        return np.full((n, m, width), 1.0 / width)
+    # written, and a length of 0 is an empty row, which the token path rejects;
+    # the blocks are either written as embeddings or made by
+    # ``expected_embeddings`` from step distributions
+    def block(n, m, lengths):
+        if embedded:
+            return embedded_block(model, n, m)
+        v = len(vocab)
+        return model.expected_embeddings(np.full((n, m, v), 1.0 / v), np.asarray(lengths))
 
     for lengths, message in (([3, 5], "row 1: length 5 is outside [1, 3]"),
                              ([3, 6], "row 1: length 6 is outside [1, 3]"),
                              ([0, 2], "row 0: length 0 is outside [1, 3]")):
         with pytest.raises(ValueError, match=re.escape(message)):
-            model.classify_soft_values([block(2, 3)], np.asarray(lengths), embedded=embedded)
+            model.classify_soft_values([block(2, 3, lengths)], np.asarray(lengths))
     # the step count is that of the row's own block, not the batch's
     with pytest.raises(ValueError, match=re.escape("row 2: length 3 is outside [1, 2]")):
-        model.classify_soft_values([block(2, 3), block(1, 2)], np.asarray([3, 3, 3]),
-                                   embedded=embedded)
-    assert len(model.classify_soft_values([block(2, 3), block(1, 2)], np.asarray([3, 1, 2]),
-                                          embedded=embedded)) == 3
+        model.classify_soft_values([block(2, 3, [3, 3]), block(1, 2, [3])],
+                                   np.asarray([3, 3, 3]))
+    assert len(model.classify_soft_values([block(2, 3, [3, 1]), block(1, 2, [2])],
+                                          np.asarray([3, 1, 2]))) == 3
+
+
+def test_soft_blocks_of_the_wrong_width_rejected_by_name(model, vocab):
+    # a block of m >= 2 steps holds embeddings (width d), a 1-step block
+    # holds distributions (width V); either other width is named
+    d, v = model.config.d_model, len(vocab)
+    distributions = np.full((2, 3, v), 1.0 / v)
+    with pytest.raises(ValueError, match=re.escape(f"block 0 (3-step) has width {v}, not {d}")):
+        model.classify_soft_values([distributions], np.asarray([3, 2]))
+    one_step = np.full((1, 1, d), 0.5)
+    with pytest.raises(ValueError, match=re.escape(f"block 1 (1-step) has width {d}, not {v}")):
+        model.classify_soft_values([embedded_block(model, 2, 3), one_step],
+                                   np.asarray([3, 2, 1]))
 
 
 @pytest.mark.parametrize("overrides,match", [
@@ -97,7 +119,9 @@ def test_one_hot_soft_equals_token_path_bitwise(model, vocab, rng):
         n = int(rng.integers(1, model.config.max_len))
         ids = [int(i) for i in rng.integers(5, v, size=n)]
         hard = model.classify_tokens_batch([ids])[0]
-        soft = model.classify_soft_values([onehot_rows(ids, v)[None]], np.asarray([n]))[0]
+        lengths = np.asarray([n])
+        soft = model.classify_soft_values(
+            [model.expected_embeddings(onehot_rows(ids, v)[None], lengths)], lengths)[0]
         assert np.array_equal(hard.logits, soft.logits)
         assert hard.label == soft.label
 
@@ -109,8 +133,9 @@ def test_over_long_soft_input_raises(model, vocab, rng):
     ids = [int(i) for i in rng.integers(5, v, size=model.config.max_len + 3)]
     hard = model.classify_tokens_batch([ids])[0]
     cut = ids[: model.config.max_len - 1]
-    soft = model.classify_soft_values([onehot_rows(cut, v)[None]],
-                                      np.asarray([len(cut)]))[0]
+    lengths = np.asarray([len(cut)])
+    soft = model.classify_soft_values(
+        [model.expected_embeddings(onehot_rows(cut, v)[None], lengths)], lengths)[0]
     assert np.array_equal(hard.logits, soft.logits)
     longer = onehot_rows(ids[: model.config.max_len], v)[None]
     with pytest.raises(ValueError, match="exceeds max_len"):
@@ -143,7 +168,8 @@ def test_padded_logits_soft_matches_per_row_with_gradients(seed, model_seed, b, 
     weights = rng.normal(size=(b, c))
     logits, p_grad, e_grad = soft_logits_and_grads(model, probs, lengths, weights)
     # the gradient-free evaluation path is the same pass
-    for pred, row in zip(model.classify_soft_values([probs], lengths), logits):
+    evaluated = model.classify_soft_values([model.expected_embeddings(probs, lengths)], lengths)
+    for pred, row in zip(evaluated, logits):
         assert np.array_equal(pred.logits, row)
     e_grad_rows = np.zeros_like(e_grad)
     for i, n in enumerate(lengths):

@@ -7,6 +7,12 @@ that computed it (read with `compare_pipeline.blas_core_name`). The digests
 hash the workloads' outputs and, for the training workloads, every trained
 parameter, so any change to the floats of the program shows up here.
 
+One more case, `short_blocks`, covers what the workloads' 64-row blocks
+never reach: blocks whose decode stops short of the batch's step count. It
+classifies the 500-row target-language test split on the committed pipeline
+at `mt.BLOCK_ROWS` = 2 (61 blocks below the split's 13 steps, 20 of them at an
+odd step count) and hashes the soft, hard and forced one-hot logits.
+
 A mismatch prints the workload, the kernel and both digests, and exits 1.
 A kernel without an entry prints its name and exits 0: another kernel
 computes other floats (Haswell on an AVX2-only machine), and no digest of it
@@ -28,13 +34,35 @@ DIGESTS = ROOT / "DIGESTS.json"
 SEED = 1
 
 
+def short_blocks_digest() -> str:
+    """The committed pipeline's soft, hard and forced one-hot logits on the
+    target-language test split, in row blocks of 2."""
+    import run
+    import workloads
+    from difftt import mt
+
+    bundle, pipe = workloads.load_service(run.PIPELINE_DIR)
+    ids = [pipe.vocab.encode(tokens) for tokens, _ in bundle.tg_test]
+    rows, mt.BLOCK_ROWS = mt.BLOCK_ROWS, 2
+    try:
+        preds = (pipe.predict_batch(ids) + pipe.predict_hard_batch(ids)
+                 + pipe.predict_forced_onehot_batch(ids))
+    finally:
+        mt.BLOCK_ROWS = rows
+    return workloads._digest(*(p.logits for p in preds))
+
+
 def round_digests(names) -> dict[str, str]:
-    """The digest of one untraced seed-``SEED`` round of each workload in ``names``."""
+    """The digest of each case in ``names``: ``short_blocks``, or one
+    untraced seed-``SEED`` round of the workload of that name."""
     sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
     import run
 
     digests = {}
     for name in names:
+        if name == "short_blocks":
+            digests[name] = short_blocks_digest()
+            continue
         workload = run.make_workload(name)
         workload.setup(SEED)
         digests[name] = run.run_round(workload).digest
